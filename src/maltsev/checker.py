@@ -11,6 +11,7 @@ worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -151,8 +152,14 @@ def _decode_substitution(option_lists, index):
 
 def _scan_chunk(A: Algebra, task: Task, start: int, stop: int,
                 exhaustive: bool) -> tuple[int | None, int]:
+    """Pool entry point: resolve ``task`` in the worker, then :func:`_scan`."""
+    return _scan(A, _resolve_task(task), start, stop, exhaustive)
+
+
+def _scan(A: Algebra, resolved, start: int, stop: int,
+          exhaustive: bool) -> tuple[int | None, int]:
     """Scan substitutions [start, stop); return (first violating index, count)."""
-    _, variables, multiplicities, evaluate, _ = _resolve_task(task)
+    _, _, multiplicities, evaluate, _ = resolved
     option_lists = [substitution_options(A.dim, m) for m in multiplicities]
     first = None
     nviol = 0
@@ -168,9 +175,9 @@ def _scan_chunk(A: Algebra, task: Task, start: int, stop: int,
     return first, nviol
 
 
-def _report_for(A: Algebra, task: Task, first: int | None, nviol: int,
+def _report_for(A: Algebra, resolved, first: int | None, nviol: int,
                 total: int, exhaustive: bool) -> CheckReport:
-    label, variables, multiplicities, evaluate, report_scale = _resolve_task(task)
+    label, variables, multiplicities, evaluate, report_scale = resolved
     if first is None:
         return CheckReport(identity=label, algebra=A.name, holds=True,
                            substitutions_checked=total,
@@ -194,21 +201,24 @@ def run_check(A: Algebra, task: Task, *, exhaustive: bool = False,
 
     The report is a pure function of (algebra, task, exhaustive): with
     several workers the stream is scanned in order-preserving chunks and
-    ``substitutions_checked`` keeps its serial meaning.
+    ``substitutions_checked`` keeps its serial meaning.  The pool never has
+    more processes than chunks or than ``os.cpu_count()``.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    _, _, multiplicities, _, _ = _resolve_task(task)
+    resolved = _resolve_task(task)
+    _, _, multiplicities, _, _ = resolved
     total = substitution_count(A.dim, multiplicities)
     if workers == 1 or total < _PARALLEL_MIN:
-        first, nviol = _scan_chunk(A, task, 0, total, exhaustive)
-        return _report_for(A, task, first, nviol, total, exhaustive)
+        first, nviol = _scan(A, resolved, 0, total, exhaustive)
+        return _report_for(A, resolved, first, nviol, total, exhaustive)
 
     chunk = max(64, -(-total // (workers * _CHUNKS_PER_WORKER)))
     bounds = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
     first = None
     nviol = 0
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    processes = min(workers, len(bounds), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=processes) as pool:
         futures = [pool.submit(_scan_chunk, A, task, s, e, exhaustive)
                    for s, e in bounds]
         for fut in futures:  # submission order == stream order
@@ -220,7 +230,7 @@ def run_check(A: Algebra, task: Task, *, exhaustive: bool = False,
                     for later in futures:
                         later.cancel()
                     break
-    return _report_for(A, task, first, nviol, total, exhaustive)
+    return _report_for(A, resolved, first, nviol, total, exhaustive)
 
 
 def check_builtin(A: Algebra, identity_id: str, *, exhaustive: bool = False,

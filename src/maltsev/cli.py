@@ -173,7 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--exhaustive", action="store_true",
                          help="count every violation instead of stopping at the first")
     p_check.add_argument("--workers", type=int, default=1, metavar="N",
-                         help="parallel worker processes (default 1)")
+                         help="parallel worker processes (default 1); the pool "
+                              "never starts more than the CPU count or the "
+                              "number of stream chunks")
 
     p_table = sub.add_parser("table", help="print the bracket table")
     p_table.add_argument("algebra",

@@ -12,6 +12,18 @@ On top of the binary bracket the module derives
   ``(1/6)[x,y,.]`` on any algebra (this is an identity of the definitions,
   not a property of the algebra).
 
+Both ternary primitives are contractions of one derived table: for each
+basis pair ``i < j`` an algebra keeps the columns ``[e_i, e_j, e_l]``
+(equivalently the matrix of ``6 Y(e_i; e_j)``), computed from the structure
+constants the first time the pair is used.  ``[e_j, e_i, .] = -[e_i, e_j, .]``
+and ``[e_i, e_i, .] = 0`` hold in every anticommutative algebra, so the other
+pairs are never stored.  ``yamaguti`` is then a trilinear and
+``sixfold_yamagutian`` a bilinear sum over that table, with exactly the
+values of the definitions above.  The table is sparse and keeps only
+nonzero entries: a fully filled one holds at most ``dim**3 * (dim - 1) / 2``
+scalars, O(dim^4), and an algebra whose ternary brackets are never asked for
+holds nothing.
+
 All values are immutable after construction and all operations are pure;
 scalars are Python ints or ``fractions.Fraction`` (always in lowest terms),
 so equality is exact and no tolerances appear anywhere.
@@ -212,21 +224,31 @@ class Operator:
             return NotImplemented
         self._require_same_dim(other, "operator composition")
         n = len(self.rows)
-        cols = tuple(zip(*other.rows))
-        return Operator._raw(tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.rows))
+        sparse = [[(c, b) for c, b in enumerate(r) if b] for r in other.rows]
+        out = []
+        for row in self.rows:
+            acc = [0] * n
+            for a, srow in zip(row, sparse):
+                if a:
+                    for c, b in srow:
+                        acc[c] += a * b
+            out.append(tuple(acc))
+        return Operator._raw(tuple(out))
 
     def __rmul__(self, c: Scalar) -> Operator:
         _check_scalar(c)
         return Operator._raw(tuple(tuple(c * a for a in r) for r in self.rows))
 
     def apply(self, v: Vector) -> Vector:
-        if v.dim != self.dim:
+        rows = self.rows
+        if len(v.coords) != len(rows):
             raise DimensionMismatch(
                 f"operator application: operator dim {self.dim}, vector dim {v.dim}")
-        return Vector._raw(tuple(sum(a * b for a, b in zip(row, v.coords))
-                                 for row in self.rows))
+        acc = [0] * len(rows)
+        for k, b in enumerate(v.coords):
+            if b:
+                acc = [s + row[k] * b for s, row in zip(acc, rows)]
+        return Vector._raw(tuple(acc))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Operator):
@@ -250,9 +272,12 @@ class Algebra:
     ``brackets`` maps pairs ``(i, j)`` with ``i < j`` to the coordinates of
     ``[e_i, e_j]``; missing pairs are zero.  ``[e_j, e_i]`` and ``[e_i, e_i]``
     are derived, never stored, so no instance can violate antisymmetry.
+
+    ``_ternary`` caches the ternary table (see the module docstring); it is
+    filled lazily and ignored by equality, hashing and pickling.
     """
 
-    __slots__ = ("name", "basis", "_pairs", "_rows", "_lplus", "_hash")
+    __slots__ = ("name", "basis", "_pairs", "_rows", "_ternary", "_hash")
 
     def __init__(self, name: str, basis: Iterable[str],
                  brackets: Mapping[tuple[int, int], Vector | Iterable[Scalar]]):
@@ -278,7 +303,7 @@ class Algebra:
         self.basis = basis
         self._pairs = pairs
         self._rows = _sparse_rows(dim, pairs)
-        self._lplus = None
+        self._ternary = None
         self._hash = hash((name, basis, tuple(sorted(pairs.items()))))
 
     @property
@@ -304,15 +329,16 @@ class Algebra:
         v = self._pairs.get((j, i))
         return Vector.zero(dim) if v is None else -v
 
-    def _basis_translations(self) -> tuple[Operator, ...]:
-        if self._lplus is None:
-            dim = self.dim
-            ops = []
-            for i in range(dim):
-                cols = [self.structure_constant(i, k).coords for k in range(dim)]
-                ops.append(Operator._raw(tuple(zip(*cols))))
-            self._lplus = tuple(ops)
-        return self._lplus
+    def _ternary_columns(self, i: int, j: int) -> tuple[tuple[tuple[int, Scalar], ...], ...]:
+        """``[e_i, e_j, e_l]`` for every l, as sparse ``(k, c)`` columns; i < j."""
+        dim = len(self.basis)
+        table = self._ternary
+        if table is None:
+            table = self._ternary = [None] * (dim * dim)
+        cols = table[i * dim + j]
+        if cols is None:
+            cols = table[i * dim + j] = _ternary_pair(self._rows, i, j)
+        return cols
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Algebra):
@@ -341,6 +367,40 @@ def _sparse_rows(dim, pairs):
     return tuple(tuple(r) for r in rows)
 
 
+def _ternary_pair(rows, i, j):
+    # [e_i,e_j,e_l] = [e_i,[e_j,e_l]] - [e_j,[e_i,e_l]] + [[e_i,e_j],e_l]
+    ri, rj = rows[i], rows[j]
+    cols = []
+    for l in range(len(rows)):
+        acc = [0] * len(rows)
+        for m, c in rj[l]:
+            for k, d in ri[m]:
+                acc[k] += c * d
+        for m, c in ri[l]:
+            for k, d in rj[m]:
+                acc[k] -= c * d
+        for m, c in ri[j]:
+            for k, d in rows[m][l]:
+                acc[k] += c * d
+        cols.append(tuple((k, a) for k, a in enumerate(acc) if a))
+    return tuple(cols)
+
+
+def _pair_columns(A, x, y):
+    # (x_i y_j - x_j y_i, [e_i,e_j,.]) over the pairs i < j where the
+    # coefficient is nonzero: [x,y,.] is the sum of coefficient * columns.
+    xs, ys = x.coords, y.coords
+    nz = [i for i in range(len(xs)) if xs[i] or ys[i]]
+    out = []
+    for a, i in enumerate(nz):
+        xi, yi = xs[i], ys[i]
+        for j in nz[a + 1:]:
+            s = xi * ys[j] - xs[j] * yi
+            if s:
+                out.append((s, A._ternary_columns(i, j)))
+    return out
+
+
 def _require_dim(A: Algebra, what: str, **vectors: Vector) -> None:
     for label, v in vectors.items():
         if v.dim != A.dim:
@@ -350,8 +410,10 @@ def _require_dim(A: Algebra, what: str, **vectors: Vector) -> None:
 
 def bracket(A: Algebra, x: Vector, y: Vector) -> Vector:
     """Bilinear extension of the structure constants: ``[x, y]``."""
-    _require_dim(A, "bracket", x=x, y=y)
-    acc = [0] * A.dim
+    dim = len(A.basis)
+    if not len(x.coords) == len(y.coords) == dim:
+        _require_dim(A, "bracket", x=x, y=y)
+    acc = [0] * dim
     rows = A._rows
     for i, xi in enumerate(x.coords):
         if not xi:
@@ -370,39 +432,53 @@ def bracket(A: Algebra, x: Vector, y: Vector) -> Vector:
 
 def yamaguti(A: Algebra, x: Vector, y: Vector, z: Vector) -> Vector:
     """Ternary bracket ``[x,y,z] = [x,[y,z]] - [y,[x,z]] + [[x,y],z]``."""
-    _require_dim(A, "yamaguti", x=x, y=y, z=z)
-    return (bracket(A, x, bracket(A, y, z))
-            - bracket(A, y, bracket(A, x, z))
-            + bracket(A, bracket(A, x, y), z))
+    dim = len(A.basis)
+    if not len(x.coords) == len(y.coords) == len(z.coords) == dim:
+        _require_dim(A, "yamaguti", x=x, y=y, z=z)
+    acc = [0] * dim
+    zs = [(l, c) for l, c in enumerate(z.coords) if c]
+    if zs:
+        for s, cols in _pair_columns(A, x, y):
+            for l, zl in zs:
+                col = cols[l]
+                if col:
+                    t = s * zl
+                    for k, c in col:
+                        acc[k] += t * c
+    return Vector._raw(tuple(acc))
 
 
 def left_translation(A: Algebra, x: Vector) -> Operator:
     """Matrix of ``y -> [x, y]``; column k is ``[x, e_k]``."""
-    _require_dim(A, "left_translation", x=x)
-    base = A._basis_translations()
-    dim = A.dim
+    dim = len(A.basis)
+    if len(x.coords) != dim:
+        _require_dim(A, "left_translation", x=x)
     acc = [[0] * dim for _ in range(dim)]
+    rows = A._rows
     for i, xi in enumerate(x.coords):
-        if not xi:
-            continue
-        for r, row in enumerate(base[i].rows):
-            ar = acc[r]
-            for c, val in enumerate(row):
-                if val:
-                    ar[c] += xi * val
-    return Operator._raw(tuple(tuple(r) for r in acc))
+        if xi:
+            for l, entries in enumerate(rows[i]):
+                for k, c in entries:
+                    acc[k][l] += xi * c
+    return Operator._raw(tuple(map(tuple, acc)))
 
 
 def sixfold_yamagutian(A: Algebra, x: Vector, y: Vector) -> Operator:
     """``[l+_x, l+_y] + l+_[x,y]``, i.e. six times the Yamagutian.
 
-    Kept separate because it is integer-valued whenever the structure
-    constants are, which the identity checker exploits.
+    Column l is ``[x, y, e_l]``.  Kept separate because it is integer-valued
+    whenever the structure constants are, which the identity checker
+    exploits.
     """
-    _require_dim(A, "sixfold_yamagutian", x=x, y=y)
-    lx = left_translation(A, x)
-    ly = left_translation(A, y)
-    return operator_commutator(lx, ly) + left_translation(A, bracket(A, x, y))
+    dim = len(A.basis)
+    if not len(x.coords) == len(y.coords) == dim:
+        _require_dim(A, "sixfold_yamagutian", x=x, y=y)
+    acc = [[0] * dim for _ in range(dim)]
+    for s, cols in _pair_columns(A, x, y):
+        for l, col in enumerate(cols):
+            for k, c in col:
+                acc[k][l] += s * c
+    return Operator._raw(tuple(map(tuple, acc)))
 
 
 def yamagutian(A: Algebra, x: Vector, y: Vector) -> Operator:

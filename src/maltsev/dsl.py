@@ -16,7 +16,8 @@ Ternary brackets always mean the derived brackets
 from the identifiers; each variable's multiplicity is its maximal number of
 occurrences within a single additive term, which is what the checker's
 polarization substitutions need.  In identity files, one identity per line
-and ``#`` starts a comment.
+and ``#`` starts a comment.  Brackets nest at most :data:`MAX_NESTING` deep,
+which bounds the recursion of parsing, formatting and evaluation.
 """
 from __future__ import annotations
 
@@ -29,6 +30,8 @@ from . import checker
 from .core import Algebra, DimensionMismatch, Scalar, Vector, bracket, format_rational, yamaguti
 
 Expr = Union["Var", "Scale", "Sum", "Bracket"]
+
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -117,6 +120,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # brackets open around the current position
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -192,7 +196,10 @@ class _Parser:
         if kind == "name":
             return Var(self.advance()[1])
         if kind == "[":
+            if self.depth == MAX_NESTING:
+                self.fail((f"at most {MAX_NESTING} nested brackets",))
             self.advance()
+            self.depth += 1
             args = [self.expr()]
             self.expect(",", "','")
             args.append(self.expr())
@@ -200,6 +207,7 @@ class _Parser:
                 self.advance()
                 args.append(self.expr())
             self.expect("]", "']'" if len(args) == 3 else "',' or ']'")
+            self.depth -= 1
             return Bracket(tuple(args))
         self.fail(("a variable", "'['", "a coefficient"))
 

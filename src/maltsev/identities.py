@@ -12,9 +12,9 @@ so it is not part of the default "all" selection.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .core import (
     Algebra,

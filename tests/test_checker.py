@@ -1,5 +1,6 @@
 import math
 import random
+from concurrent.futures import Future
 
 import pytest
 from hypothesis import given
@@ -12,10 +13,12 @@ from maltsev import (
     check_builtin,
     check_equivalence,
     check_glts,
+    check_identity,
     substitution_count,
     substitution_options,
     substitution_stream,
 )
+from maltsev import checker, dsl
 from maltsev.identities import BUILTIN_IDENTITIES, GLTS_AXIOM_IDS
 
 from .support import RANDOM_VECTOR_SEED, random_vector
@@ -143,6 +146,57 @@ def test_worker_count_does_not_change_exhaustive_reports(nc3):
 def test_invalid_worker_count(so3):
     with pytest.raises(ValueError):
         check_builtin(so3, "jacobi", workers=0)
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs inline."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("workers,cpus,expected", [
+    (100000, 1000, 16),  # chunks bind: abelian(4) glts-f has 1024 subs, 16 chunks
+    (100000, 3, 3),      # the CPU count binds
+    (2, 1000, 2),        # the request binds
+    (4, None, 1),        # cpu_count() may be unknown
+])
+def test_pool_size_is_capped(monkeypatch, workers, cpus, expected):
+    monkeypatch.setattr(checker, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(checker.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    A = builtin("abelian(4)")
+    report = check_builtin(A, "glts-f", workers=workers)
+    assert _InlinePool.sizes == [expected]
+    assert report == check_builtin(A, "glts-f")
+
+
+def test_serial_dsl_check_parses_once(monkeypatch, nc3):
+    calls = []
+    parse = dsl.parse_identity
+
+    def counting_parse(text):
+        calls.append(text)
+        return parse(text)
+
+    ast = parse(BUILTIN_IDENTITIES["sagle-yamaguti"].dsl_text)
+    monkeypatch.setattr(dsl, "parse_identity", counting_parse)
+    report = check_identity(nc3, ast)
+    assert not report.holds
+    assert len(calls) == 1
 
 
 # -------------------------------------------------------------- aggregates

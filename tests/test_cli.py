@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
 
 from maltsev import save_algebra
 from maltsev.cli import main
 from maltsev.identities import MALTSEV_SUITE_IDS
+
+from .support import package_env
 
 
 def run(capsys, *argv):
@@ -105,6 +109,17 @@ def test_check_dsl_syntax_error_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "check", "nc3", "--dsl", str(ident_file))
     assert code == 2
     assert "line 1" in err
+
+
+def test_check_deeply_nested_dsl_exits_2_without_traceback(tmp_path):
+    ident_file = tmp_path / "deep.txt"
+    ident_file.write_text("[x," * 400 + "y" + "]" * 400 + " = 0\n", encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "maltsev", "check", "so3",
+                           "--dsl", str(ident_file)],
+                          capture_output=True, text=True, env=package_env())
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "line 1" in proc.stderr and "nested brackets" in proc.stderr
 
 
 def test_check_empty_dsl_file_exits_2(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -22,6 +24,8 @@ from maltsev import (
     yamaguti,
 )
 from maltsev.catalog import full_catalog
+
+from .support import package_env
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -273,3 +277,25 @@ def test_format_vector(so3):
     assert format_vector(so3, Vector([0, 0, 0])) == "0"
     assert format_vector(so3, Vector([2, 0, -1])) == "2*e1 - e3"
     assert format_vector(so3, Vector([Fraction(1, 3), 1, 0])) == "1/3*e1 + e2"
+
+
+# ---------------------------------------------------------------- modules
+
+_REIMPORT = """
+import gc, importlib, sys, weakref
+import maltsev
+old = weakref.ref(maltsev.core.Algebra)
+for name in [n for n in sys.modules if n == "maltsev" or n.startswith("maltsev.")]:
+    del sys.modules[name]
+del maltsev
+importlib.import_module("maltsev")
+gc.collect()
+sys.exit(0 if old() is None else 1)
+"""
+
+
+def test_reimport_releases_the_previous_copy():
+    # nothing global (such as typing's cache of subscripted generics) may
+    # keep a dropped copy of the package alive
+    proc = subprocess.run([sys.executable, "-c", _REIMPORT], env=package_env())
+    assert proc.returncode == 0

@@ -17,7 +17,7 @@ from maltsev import (
     parse_identity,
     parse_identity_file,
 )
-from maltsev.dsl import Bracket, Scale, Sum, Var
+from maltsev.dsl import MAX_NESTING, Bracket, Scale, Sum, Var
 from maltsev.identities import BUILTIN_IDENTITIES
 
 
@@ -89,6 +89,27 @@ def test_syntax_error_carries_position():
         parse_identity("[x,y] +\n[y,x = 0")
     assert exc.value.line == 2
     assert exc.value.column == 6
+
+
+def _nested(depth):
+    return "[x," * depth + "y" + "]" * depth
+
+
+def test_nesting_limit_is_a_syntax_error():
+    ast = parse_identity(f"{_nested(MAX_NESTING)} = 0")
+    assert parse_identity(format_identity(ast)) == ast
+    with pytest.raises(IdentitySyntaxError) as exc:
+        parse_identity(f"x = {_nested(MAX_NESTING + 1)}")
+    assert (exc.value.line, exc.value.column) == (1, 5 + 3 * MAX_NESTING)
+    assert "nested brackets" in str(exc.value)
+    with pytest.raises(IdentitySyntaxError, match="line 2"):
+        parse_identity_file(f"x = x\n{_nested(400)} = 0\n")
+
+
+def test_deepest_allowed_identity_evaluates(so3):
+    deep = _nested(MAX_NESTING)
+    report = check_identity(so3, parse_identity(f"{deep} = {deep}"))
+    assert report.holds
 
 
 @given(st.text(max_size=30))
