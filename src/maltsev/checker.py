@@ -14,9 +14,10 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Iterator, Sequence
 
+from . import dsl
 from .core import Algebra, Operator, Vector, format_rational
 from .identities import BUILTIN_IDENTITIES, GLTS_AXIOM_IDS
 
@@ -130,8 +131,6 @@ def _resolve_task(task: Task):
             ) from None
         return ident.id, ident.variables, ident.multiplicities, ident.evaluate, ident.report_scale
     if kind == "dsl":
-        from . import dsl  # local import: dsl depends on this module
-
         ast = dsl.parse_identity(payload)
         label = dsl.format_identity(ast)
 
@@ -140,14 +139,6 @@ def _resolve_task(task: Task):
 
         return label, ast.variables, ast.multiplicities, evaluate, 1
     raise ValueError(f"unknown task kind {kind!r}")
-
-
-def _decode_substitution(option_lists, index):
-    args = []
-    for opts in reversed(option_lists):
-        index, r = divmod(index, len(opts))
-        args.append(opts[r])
-    return tuple(reversed(args))
 
 
 def _scan_chunk(A: Algebra, task: Task, start: int, stop: int,
@@ -160,11 +151,10 @@ def _scan(A: Algebra, resolved, start: int, stop: int,
           exhaustive: bool) -> tuple[int | None, int]:
     """Scan substitutions [start, stop); return (first violating index, count)."""
     _, _, multiplicities, evaluate, _ = resolved
-    option_lists = [substitution_options(A.dim, m) for m in multiplicities]
+    stream = islice(substitution_stream(A.dim, multiplicities), start, stop)
     first = None
     nviol = 0
-    for idx in range(start, stop):
-        args = _decode_substitution(option_lists, idx)
+    for idx, args in enumerate(stream, start):
         lhs, rhs = evaluate(A, args)
         if lhs != rhs:
             if first is None:
@@ -182,8 +172,7 @@ def _report_for(A: Algebra, resolved, first: int | None, nviol: int,
         return CheckReport(identity=label, algebra=A.name, holds=True,
                            substitutions_checked=total,
                            violations=0 if exhaustive else None)
-    option_lists = [substitution_options(A.dim, m) for m in multiplicities]
-    args = _decode_substitution(option_lists, first)
+    args = next(islice(substitution_stream(A.dim, multiplicities), first, None))
     lhs, rhs = evaluate(A, args)
     if report_scale != 1:
         lhs = report_scale * lhs

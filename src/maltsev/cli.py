@@ -11,23 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
 from . import catalog, checker, dsl
 from .core import Algebra, DimensionMismatch, Vector, format_rational, format_vector, yamaguti
 from .identities import BUILTIN_IDENTITIES, MALTSEV_SUITE_IDS
-
-
-@dataclass
-class RunConfig:
-    algebra: str
-    identities: tuple[str, ...]
-    dsl_file: str | None = None
-    json_output: bool = False
-    exhaustive: bool = False
-    workers: int = 1
 
 
 def _load_algebra_arg(name: str) -> Algebra:
@@ -100,21 +89,22 @@ def _print_report(A: Algebra, report: checker.CheckReport) -> None:
         _print_value(A, ce.right, "    ")
 
 
-def cmd_check(config: RunConfig) -> int:
-    A = _load_algebra_arg(config.algebra)
+def cmd_check(args: argparse.Namespace) -> int:
+    identities = _resolve_identities(args.identity, args.dsl is not None)
+    A = _load_algebra_arg(args.algebra)
     reports: list[checker.CheckReport] = []
-    for ident in config.identities:
+    for ident in identities:
         reports.append(checker.check_builtin(
-            A, ident, exhaustive=config.exhaustive, workers=config.workers))
-    if config.dsl_file is not None:
-        text = Path(config.dsl_file).read_text(encoding="utf-8")
+            A, ident, exhaustive=args.exhaustive, workers=args.workers))
+    if args.dsl is not None:
+        text = Path(args.dsl).read_text(encoding="utf-8")
         parsed = dsl.parse_identity_file(text)
-        if not parsed and not config.identities:
-            raise ValueError(f"no identities selected: {config.dsl_file} is empty")
+        if not parsed and not identities:
+            raise ValueError(f"no identities selected: {args.dsl} is empty")
         for _lineno, ast in parsed:
             reports.append(dsl.check_identity(
-                A, ast, exhaustive=config.exhaustive, workers=config.workers))
-    if config.json_output:
+                A, ast, exhaustive=args.exhaustive, workers=args.workers))
+    if args.json_output:
         print(json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True))
     else:
         for r in reports:
@@ -198,17 +188,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "check":
             if args.workers < 1:
                 parser.error("--workers must be >= 1")
-            config = RunConfig(
-                algebra=args.algebra,
-                identities=_resolve_identities(args.identity, args.dsl is not None),
-                dsl_file=args.dsl,
-                json_output=args.json_output,
-                exhaustive=args.exhaustive,
-                workers=args.workers,
-            )
-            if not config.identities and config.dsl_file is None:
-                parser.error("no identities selected")
-            return cmd_check(config)
+            return cmd_check(args)
         if args.command == "table":
             return cmd_table(args.algebra, args.ternary, args.json_output)
         raise AssertionError(f"unhandled command {args.command!r}")

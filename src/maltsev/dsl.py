@@ -5,7 +5,7 @@ Grammar (whitespace-insensitive)::
     identity := expr "=" expr
     expr     := term { ("+" | "-") term }
     term     := [ coeff "*" ] factor | coeff     -- bare coeff only as "0"
-    factor   := var
+    factor   := var | "_"
               | "[" expr "," expr "]"            -- binary bracket
               | "[" expr "," expr "," expr "]"   -- ternary (Yamaguti) bracket
     coeff    := ["-"] integer [ "/" integer ]
@@ -17,19 +17,50 @@ from the identifiers; each variable's multiplicity is its maximal number of
 occurrences within a single additive term, which is what the checker's
 polarization substitutions need.  In identity files, one identity per line
 and ``#`` starts a comment.  Brackets nest at most :data:`MAX_NESTING` deep,
-which bounds the recursion of parsing, formatting and evaluation.
+which bounds the recursion of parsing, formatting and compiling.
+
+``_`` is the *column variable*.  An identity that uses it states an
+equality of operators: each side is the matrix whose column l is that side's
+value at ``_ = e_l``.  Every additive term other than a literal ``0`` then
+holds ``_`` exactly once, as the last argument of every bracket around it
+and outside any sum inside a bracket, so that each side is linear in it:
+``[a,_]`` is the left translation ``l+_a``, ``[a,b,_]`` is the sixfold
+Yamagutian ``6Y(a;b)``, and a bracket whose last argument is an operator
+composes with it (``[a,b,[c,_]] = 6Y(a;b) l+_c``).  ``_`` is neither a
+variable nor substituted, and a misplaced ``_`` is a syntax error.
+
+A parsed identity compiles once, on first use, into a straight-line
+program over registers (``IdentityAst.plan``): the substituted variables
+first, in ``variables`` order, then one register per distinct subterm.
+Builtin and user identities are checked through that one evaluator.
 """
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterator, Mapping, Union
 
-from . import checker
-from .core import Algebra, DimensionMismatch, Scalar, Vector, bracket, format_rational, yamaguti
+from .core import (
+    Algebra,
+    DimensionMismatch,
+    Operator,
+    Scalar,
+    Vector,
+    bracket,
+    format_rational,
+    left_translation,
+    sixfold_yamagutian,
+    yamaguti,
+)
 
-Expr = Union["Var", "Scale", "Sum", "Bracket"]
+if TYPE_CHECKING:
+    from .checker import CheckReport
+
+Expr = Union["Var", "Column", "Scale", "Sum", "Bracket"]
+Value = Vector | Operator
 
 MAX_NESTING = 100
 
@@ -37,6 +68,11 @@ MAX_NESTING = 100
 @dataclass(frozen=True)
 class Var:
     name: str
+
+
+@dataclass(frozen=True)
+class Column:
+    """The column variable ``_``."""
 
 
 @dataclass(frozen=True)
@@ -62,6 +98,17 @@ class IdentityAst:
     lhs: Expr
     rhs: Expr
 
+    @property
+    def level(self) -> str:
+        """``"operator"`` when the identity uses ``_``, else ``"vector"``."""
+        nodes = (*_walk(self.lhs), *_walk(self.rhs))
+        return "operator" if any(isinstance(n, Column) for n in nodes) else "vector"
+
+    @cached_property
+    def plan(self) -> Callable[[Algebra, Sequence[Vector]], tuple[Value, Value]]:
+        """Both sides compiled: (algebra, vectors in ``variables`` order) -> sides."""
+        return _compile(self)
+
 
 class IdentitySyntaxError(ValueError):
     def __init__(self, line: int, column: int, found: str, expected: tuple[str, ...]):
@@ -79,40 +126,26 @@ class EvalError(ValueError):
 
 _Token = tuple[str, str, int, int]  # kind, text, line, column
 
-_TOKEN_RE = re.compile(r"[0-9]+|[a-z][a-z0-9]*|[][,+\-*/=]")
-_WS_RE = re.compile(r"\s+")
+_TOKEN_RE = re.compile(
+    r"(?P<int>[0-9]+)|(?P<name>[a-z][a-z0-9]*)|[][,+\-*/=_]|(?P<eof>\Z)|(?P<bad>\S)")
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    pos = 0
-    line, col = 1, 1
-    while pos < len(text):
-        ws = _WS_RE.match(text, pos)
-        if ws:
-            for ch in ws.group(0):
-                if ch == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-            pos = ws.end()
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise IdentitySyntaxError(line, col, repr(text[pos]),
-                                      ("an integer", "a variable", "an operator"))
-        tok = m.group(0)
-        if tok.isdigit():
-            kind = "int"
-        elif tok[0].isalpha():
-            kind = "name"
-        else:
-            kind = tok
-        tokens.append((kind, tok, line, col))
-        col += len(tok)
+    line, line_start, pos = 1, 0, 0  # pos: the end of the previous token
+    for m in _TOKEN_RE.finditer(text):
+        start = m.start()
+        newlines = text.count("\n", pos, start)
+        if newlines:
+            line += newlines
+            line_start = text.rindex("\n", pos, start) + 1
         pos = m.end()
-    tokens.append(("eof", "end of input", line, col))
+        col = start - line_start + 1
+        kind = m.lastgroup or m.group()
+        if kind == "bad":
+            raise IdentitySyntaxError(line, col, repr(m.group()),
+                                      ("an integer", "a variable", "an operator"))
+        tokens.append((kind, "end of input" if kind == "eof" else m.group(), line, col))
     return tokens
 
 
@@ -121,6 +154,8 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.depth = 0  # brackets open around the current position
+        self.columns: list[_Token] = []  # every "_" token, in order
+        self.plain_terms: list[_Token] = []  # first tokens of top-level terms without "_"
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -130,8 +165,8 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def fail(self, expected: tuple[str, ...]):
-        kind, text, line, col = self.peek()
+    def fail(self, expected: tuple[str, ...], tok: _Token | None = None):
+        kind, text, line, col = self.peek() if tok is None else tok
         found = text if kind == "eof" else repr(text)
         raise IdentitySyntaxError(line, col, found, expected)
 
@@ -146,15 +181,28 @@ class _Parser:
         rhs = self.expr()
         if self.peek()[0] != "eof":
             self.fail(("end of input",))
+        if self.columns and self.plain_terms:
+            self.fail(("'_' in every term",), self.plain_terms[0])
         return lhs, rhs
 
     def expr(self) -> Expr:
-        terms = [self.term()]
+        first_column = len(self.columns)
+        terms = [self.counted_term()]
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
-            t = self.term()
+            t = self.counted_term()
             terms.append(t if op == "+" else Scale(-1, t))
+        if self.depth and len(terms) > 1 and len(self.columns) > first_column:
+            self.fail(("no '_' in a sum inside a bracket",), self.columns[first_column])
         return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+
+    def counted_term(self) -> Expr:
+        """A term; a top-level one without "_" is remembered for :meth:`identity`."""
+        start, before = self.peek(), len(self.columns)
+        t = self.term()
+        if not self.depth and len(self.columns) == before and t != Sum(()):
+            self.plain_terms.append(start)
+        return t
 
     def term(self) -> Expr:
         kind = self.peek()[0]
@@ -195,21 +243,30 @@ class _Parser:
         kind = self.peek()[0]
         if kind == "name":
             return Var(self.advance()[1])
+        if kind == "_":
+            self.columns.append(self.advance())
+            return Column()
         if kind == "[":
             if self.depth == MAX_NESTING:
                 self.fail((f"at most {MAX_NESTING} nested brackets",))
             self.advance()
             self.depth += 1
+            ends = [len(self.columns)]  # "_" count before the bracket, then after each argument
             args = [self.expr()]
+            ends.append(len(self.columns))
             self.expect(",", "','")
             args.append(self.expr())
+            ends.append(len(self.columns))
             if self.peek()[0] == ",":
                 self.advance()
                 args.append(self.expr())
+                ends.append(len(self.columns))
             self.expect("]", "']'" if len(args) == 3 else "',' or ']'")
             self.depth -= 1
+            if ends[-2] > ends[0]:
+                self.fail(("'_' only as the last bracket argument",), self.columns[ends[0]])
             return Bracket(tuple(args))
-        self.fail(("a variable", "'['", "a coefficient"))
+        self.fail(("a variable", "'_'", "'['", "a coefficient"))
 
 
 def _walk(node: Expr) -> Iterator[Expr]:
@@ -273,6 +330,8 @@ def parse_identity_file(text: str) -> list[tuple[int, IdentityAst]]:
 def _format_expr(node: Expr) -> str:
     if isinstance(node, Var):
         return node.name
+    if isinstance(node, Column):
+        return "_"
     if isinstance(node, Scale):
         if isinstance(node.child, (Sum, Scale)):
             raise ValueError("scaled sums are not representable in the grammar")
@@ -297,9 +356,117 @@ def format_identity(ast: IdentityAst) -> str:
     return f"{_format_expr(ast.lhs)} = {_format_expr(ast.rhs)}"
 
 
+# Step makers.  Each returns a step: a function of the algebra and the
+# registers ``r`` that computes one subterm.  Steps look the primitives up
+# in this module when they run, so wrappers installed here see every call.
+
+def _bracket_step(i, j):
+    return lambda A, r: bracket(A, r[i], r[j])
+
+
+def _yamaguti_step(i, j, k):
+    return lambda A, r: yamaguti(A, r[i], r[j], r[k])
+
+
+def _left_translation_step(i):
+    return lambda A, r: left_translation(A, r[i])
+
+
+def _sixfold_yamagutian_step(i, j):
+    return lambda A, r: sixfold_yamagutian(A, r[i], r[j])
+
+
+def _compose_step(i, j):
+    return lambda A, r: r[i] @ r[j]
+
+
+def _add_step(i, j):
+    return lambda A, r: r[i] + r[j]
+
+
+def _sub_step(i, j):
+    return lambda A, r: r[i] - r[j]
+
+
+def _scale_step(c, i):
+    return lambda A, r: c * r[i]
+
+
+def _zero_step(kind):
+    return lambda A, r: kind.zero(A.dim)
+
+
+def _identity_step():
+    return lambda A, r: Operator.identity(A.dim)
+
+
+def _compile(ast: IdentityAst) -> Callable[[Algebra, Sequence[Vector]], tuple[Value, Value]]:
+    """Compile both sides into one straight-line program over registers.
+
+    The registers hold the substituted vectors in ``variables`` order, then
+    the value of each distinct subterm; each step appends one register.
+    """
+    index = {name: i for i, name in enumerate(ast.variables)}
+    steps = []
+    registers: dict[tuple, int] = {}  # (maker, operands) -> register: a repeated subterm runs once
+
+    def emit(make, *operands) -> int:
+        key = (make, operands)
+        if key not in registers:
+            registers[key] = len(index) + len(steps)
+            steps.append(make(*operands))
+        return registers[key]
+
+    def compile_node(node: Expr, zero: type) -> tuple[int, bool]:
+        """The register of ``node`` and whether it holds an operator."""
+        if isinstance(node, Var):
+            return index[node.name], False
+        if isinstance(node, Column):
+            return emit(_identity_step), True
+        if isinstance(node, Scale):
+            reg, is_operator = compile_node(node.child, zero)
+            return emit(_scale_step, node.coeff, reg), is_operator
+        if isinstance(node, Sum):
+            if not node.terms:
+                return emit(_zero_step, zero), zero is Operator
+            acc, is_operator = compile_node(node.terms[0], zero)
+            for t in node.terms[1:]:
+                if isinstance(t, Scale) and t.coeff == -1:
+                    acc = emit(_sub_step, acc, compile_node(t.child, zero)[0])
+                else:
+                    acc = emit(_add_step, acc, compile_node(t, zero)[0])
+            return acc, is_operator
+        *front, last = node.args
+        front = [compile_node(a, Vector)[0] for a in front]
+        linear = _left_translation_step if len(front) == 1 else _sixfold_yamagutian_step
+        if isinstance(last, Column):
+            return emit(linear, *front), True
+        reg, is_operator = compile_node(last, Vector)
+        if is_operator:
+            return emit(_compose_step, emit(linear, *front), reg), True
+        return emit(_bracket_step if len(front) == 1 else _yamaguti_step, *front, reg), False
+
+    zero = Operator if ast.level == "operator" else Vector
+    lhs = compile_node(ast.lhs, zero)[0]
+    rhs = compile_node(ast.rhs, zero)[0]
+    program = tuple(steps)
+
+    def evaluate(A: Algebra, args: Sequence[Vector]) -> tuple[Value, Value]:
+        regs = list(args)
+        for step in program:
+            regs.append(step(A, regs))
+        return regs[lhs], regs[rhs]
+
+    return evaluate
+
+
 def eval_ast(A: Algebra, ast: IdentityAst,
-             assignment: Mapping[str, Vector]) -> tuple[Vector, Vector]:
-    """Evaluate both sides exactly under a variable assignment."""
+             assignment: Mapping[str, Vector]) -> tuple[Value, Value]:
+    """Evaluate both sides exactly under a variable assignment.
+
+    The sides are vectors, or operators when the identity uses ``_``.
+    """
+    args = []
     for name in ast.variables:
         if name not in assignment:
             raise EvalError(f"missing variable {name!r} in assignment")
@@ -308,29 +475,14 @@ def eval_ast(A: Algebra, ast: IdentityAst,
             raise DimensionMismatch(
                 f"eval: variable {name!r} has dim {v.dim}, "
                 f"algebra {A.name!r} has dim {A.dim}")
-
-    def ev(node: Expr) -> Vector:
-        if isinstance(node, Var):
-            return assignment[node.name]
-        if isinstance(node, Scale):
-            return node.coeff * ev(node.child)
-        if isinstance(node, Sum):
-            acc = Vector.zero(A.dim)
-            for t in node.terms:
-                acc = acc + ev(t)
-            return acc
-        if isinstance(node, Bracket):
-            vals = [ev(a) for a in node.args]
-            if len(vals) == 2:
-                return bracket(A, vals[0], vals[1])
-            return yamaguti(A, vals[0], vals[1], vals[2])
-        raise TypeError(f"not an expression node: {node!r}")
-
-    return ev(ast.lhs), ev(ast.rhs)
+        args.append(v)
+    return ast.plan(A, args)
 
 
 def check_identity(A: Algebra, ast: IdentityAst, *, exhaustive: bool = False,
-                   workers: int = 1) -> checker.CheckReport:
+                   workers: int = 1) -> CheckReport:
     """Check a parsed identity with the same contract as a builtin check."""
+    from . import checker  # the checker is the layer above this module
+
     return checker.run_check(A, ("dsl", format_identity(ast)),
                              exhaustive=exhaustive, workers=workers)

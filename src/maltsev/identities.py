@@ -1,11 +1,18 @@
-"""The builtin identity suite.
+"""The builtin identity suite, as DSL text.
 
-Each identity is a pair of sides evaluated on a variable substitution; the
-checker declares it to hold when both sides agree on every polarization
-substitution.  Operator-level identities involving the Yamagutian are
-evaluated in a 6-scaled integer form (``report_scale`` restores the stated
-sides for counterexample reporting; equality is unaffected by a nonzero
-global scale).
+Every builtin is one line of the identity grammar (see :mod:`.dsl`) plus a
+display formula and a report scale.  Its variables, multiplicities, level
+and evaluator are derived from the parsed text when this module is
+imported, so builtin and user identities run through the same compiled
+evaluator.  A text that uses the column variable ``_`` is an operator
+identity, and its counterexample sides are reported as matrices.
+
+Identities involving the Yamagutian are stated in a 6-scaled integer form:
+``[x,y,_]`` is ``6Y(x;y)``.  ``report_scale`` restores the stated sides for
+counterexample reporting; equality is unaffected by a nonzero global scale.
+``derivation`` and ``ternary-derivation`` are the Sagle-Yamaguti and
+glts-f texts for that reason: ``Y(x;y)`` applied to a vector ``u`` is
+``(1/6)[x,y,u]``.
 
 ``jacobi`` is a Lie-ness diagnostic: genuinely Mal'tsev algebras fail it,
 so it is not part of the default "all" selection.
@@ -16,20 +23,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (
-    Algebra,
-    Operator,
-    Scalar,
-    Vector,
-    bracket,
-    left_translation,
-    operator_commutator,
-    sixfold_yamagutian,
-    yamaguti,
-)
-
-Value = Vector | Operator
-Evaluator = Callable[[Algebra, tuple[Vector, ...]], tuple[Value, Value]]
+from .core import Scalar
+from .dsl import parse_identity
 
 
 @dataclass(frozen=True)
@@ -38,13 +33,12 @@ class BuiltinIdentity:
     variables: tuple[str, ...]
     multiplicities: tuple[int, ...]
     level: str  # "vector" or "operator"
-    formula: str
-    evaluate: Evaluator
-    # Exact statement of the same identity in the DSL grammar, when the
-    # grammar can express it (operator-level identities cannot be).
-    dsl_text: str | None = None
-    # True sides = report_scale * evaluated sides (evaluation may be scaled
-    # to keep the arithmetic integral).
+    formula: str  # the identity as stated, for display
+    # (algebra, substituted vectors) -> (lhs, rhs): the compiled dsl_text
+    evaluate: Callable
+    dsl_text: str
+    # True sides = report_scale * evaluated sides (the text may be scaled to
+    # keep the arithmetic integral).
     report_scale: Scalar = 1
 
     @property
@@ -52,241 +46,89 @@ class BuiltinIdentity:
         return len(self.variables)
 
 
-def _ev_anticommutativity(A, a):
-    x, y = a
-    return bracket(A, x, y) + bracket(A, y, x), Vector.zero(A.dim)
-
-
-def _ev_ternary_antisymmetry(A, a):
-    x, y, z = a
-    return yamaguti(A, x, y, z) + yamaguti(A, y, x, z), Vector.zero(A.dim)
-
-
-def _ev_glts_c(A, a):
-    x, y, z = a
-    lhs = (yamaguti(A, x, y, z) + yamaguti(A, y, z, x) + yamaguti(A, z, x, y)
-           + bracket(A, bracket(A, x, y), z)
-           + bracket(A, bracket(A, y, z), x)
-           + bracket(A, bracket(A, z, x), y))
-    return lhs, Vector.zero(A.dim)
-
-
-def _ev_glts_d(A, a):
-    x, y, z, u = a
-    lhs = (yamaguti(A, bracket(A, x, y), z, u)
-           + yamaguti(A, bracket(A, y, z), x, u)
-           + yamaguti(A, bracket(A, z, x), y, u))
-    return lhs, Vector.zero(A.dim)
-
-
-def _ev_sagle_yamaguti(A, a):
-    x, y, z, w = a
-    lhs = yamaguti(A, x, y, bracket(A, z, w))
-    rhs = bracket(A, yamaguti(A, x, y, z), w) + bracket(A, z, yamaguti(A, x, y, w))
-    return lhs, rhs
-
-
-def _ev_glts_f(A, a):
-    x, y, z, w, v = a
-    lhs = yamaguti(A, x, y, yamaguti(A, z, w, v))
-    rhs = (yamaguti(A, yamaguti(A, x, y, z), w, v)
-           + yamaguti(A, z, yamaguti(A, x, y, w), v)
-           + yamaguti(A, z, w, yamaguti(A, x, y, v)))
-    return lhs, rhs
-
-
-def _ev_yamagutian_antisymmetry(A, a):
-    x, y = a
-    return sixfold_yamagutian(A, x, y), -sixfold_yamagutian(A, y, x)
-
-
-def _ev_yamagutian_constraint(A, a):
-    x, y, z = a
-    lhs = (sixfold_yamagutian(A, bracket(A, x, y), z)
-           + sixfold_yamagutian(A, bracket(A, y, z), x)
-           + sixfold_yamagutian(A, bracket(A, z, x), y))
-    return lhs, Operator.zero(A.dim)
-
-
-def _ev_derivation(A, a):
-    x, y, z, w = a
-    Y6 = sixfold_yamagutian(A, x, y)
-    lhs = Y6.apply(bracket(A, z, w))
-    rhs = bracket(A, Y6.apply(z), w) + bracket(A, z, Y6.apply(w))
-    return lhs, rhs
-
-
-def _ev_reductivity(A, a):
-    x, y, z = a
-    lhs = operator_commutator(sixfold_yamagutian(A, x, y), left_translation(A, z))
-    rhs = left_translation(A, yamaguti(A, x, y, z))
-    return lhs, rhs
-
-
-def _ev_hidden_assoc_operator(A, a):
-    x, y, z, w = a
-    lhs = operator_commutator(sixfold_yamagutian(A, x, y), sixfold_yamagutian(A, z, w))
-    rhs = (sixfold_yamagutian(A, yamaguti(A, x, y, z), w)
-           + sixfold_yamagutian(A, z, yamaguti(A, x, y, w)))
-    return lhs, rhs
-
-
-def _ev_ternary_derivation(A, a):
-    x, y, z, w, v = a
-    Y6 = sixfold_yamagutian(A, x, y)
-    lhs = Y6.apply(yamaguti(A, z, w, v))
-    rhs = (yamaguti(A, Y6.apply(z), w, v)
-           + yamaguti(A, z, Y6.apply(w), v)
-           + yamaguti(A, z, w, Y6.apply(v)))
-    return lhs, rhs
-
-
-def _ev_maltsev(A, a):
-    x, y, z = a
-    lhs = bracket(A, bracket(A, x, y), bracket(A, x, z))
-    rhs = (bracket(A, bracket(A, bracket(A, x, y), z), x)
-           + bracket(A, bracket(A, bracket(A, y, z), x), x)
-           + bracket(A, bracket(A, bracket(A, z, x), x), y))
-    return lhs, rhs
-
-
-def _ev_jacobi(A, a):
-    x, y, z = a
-    lhs = (bracket(A, bracket(A, x, y), z)
-           + bracket(A, bracket(A, y, z), x)
-           + bracket(A, bracket(A, z, x), y))
-    return lhs, Vector.zero(A.dim)
+def _builtin(id: str, formula: str, dsl_text: str, report_scale: Scalar = 1) -> BuiltinIdentity:
+    ast = parse_identity(dsl_text)
+    return BuiltinIdentity(id=id, variables=ast.variables, multiplicities=ast.multiplicities,
+                           level=ast.level, formula=formula, evaluate=ast.plan,
+                           dsl_text=dsl_text, report_scale=report_scale)
 
 
 _SIXTH = Fraction(1, 6)
 
 _IDENTITIES = (
-    BuiltinIdentity(
+    _builtin(
         id="anticommutativity",
-        variables=("x", "y"),
-        multiplicities=(1, 1),
-        level="vector",
         formula="[x,y] + [y,x] = 0",
-        evaluate=_ev_anticommutativity,
         dsl_text="[x,y] + [y,x] = 0",
     ),
-    BuiltinIdentity(
+    _builtin(
         id="ternary-antisymmetry",
-        variables=("x", "y", "z"),
-        multiplicities=(1, 1, 1),
-        level="vector",
         formula="[x,y,z] + [y,x,z] = 0",
-        evaluate=_ev_ternary_antisymmetry,
         dsl_text="[x,y,z] + [y,x,z] = 0",
     ),
-    BuiltinIdentity(
+    _builtin(
         id="glts-c",
-        variables=("x", "y", "z"),
-        multiplicities=(1, 1, 1),
-        level="vector",
         formula="[x,y,z] + [y,z,x] + [z,x,y] + [[x,y],z] + [[y,z],x] + [[z,x],y] = 0",
-        evaluate=_ev_glts_c,
         dsl_text="[x,y,z] + [y,z,x] + [z,x,y] + [[x,y],z] + [[y,z],x] + [[z,x],y] = 0",
     ),
-    BuiltinIdentity(
+    _builtin(
         id="glts-d",
-        variables=("x", "y", "z", "u"),
-        multiplicities=(1, 1, 1, 1),
-        level="vector",
         formula="[[x,y],z,u] + [[y,z],x,u] + [[z,x],y,u] = 0",
-        evaluate=_ev_glts_d,
         dsl_text="[[x,y],z,u] + [[y,z],x,u] + [[z,x],y,u] = 0",
     ),
-    BuiltinIdentity(
+    _builtin(
         id="sagle-yamaguti",
-        variables=("x", "y", "z", "w"),
-        multiplicities=(1, 1, 1, 1),
-        level="vector",
         formula="[x,y,[z,w]] = [[x,y,z],w] + [z,[x,y,w]]",
-        evaluate=_ev_sagle_yamaguti,
         dsl_text="[x,y,[z,w]] = [[x,y,z],w] + [z,[x,y,w]]",
     ),
-    BuiltinIdentity(
+    _builtin(
         id="glts-f",
-        variables=("x", "y", "z", "w", "v"),
-        multiplicities=(1, 1, 1, 1, 1),
-        level="vector",
         formula="[x,y,[z,w,v]] = [[x,y,z],w,v] + [z,[x,y,w],v] + [z,w,[x,y,v]]",
-        evaluate=_ev_glts_f,
         dsl_text="[x,y,[z,w,v]] = [[x,y,z],w,v] + [z,[x,y,w],v] + [z,w,[x,y,v]]",
     ),
-    BuiltinIdentity(
+    _builtin(
         id="yamagutian-antisymmetry",
-        variables=("x", "y"),
-        multiplicities=(1, 1),
-        level="operator",
         formula="Y(x;y) = -Y(y;x)",
-        evaluate=_ev_yamagutian_antisymmetry,
+        dsl_text="[x,y,_] = -1*[y,x,_]",
         report_scale=_SIXTH,
     ),
-    BuiltinIdentity(
+    _builtin(
         id="yamagutian-constraint",
-        variables=("x", "y", "z"),
-        multiplicities=(1, 1, 1),
-        level="operator",
         formula="Y([x,y];z) + Y([y,z];x) + Y([z,x];y) = 0",
-        evaluate=_ev_yamagutian_constraint,
+        dsl_text="[[x,y],z,_] + [[y,z],x,_] + [[z,x],y,_] = 0",
         report_scale=_SIXTH,
     ),
-    BuiltinIdentity(
+    _builtin(
         id="derivation",
-        variables=("x", "y", "z", "w"),
-        multiplicities=(1, 1, 1, 1),
-        level="vector",
         formula="Y(x;y)[z,w] = [Y(x;y)z,w] + [z,Y(x;y)w]",
-        evaluate=_ev_derivation,
-        dsl_text="1/6*[x,y,[z,w]] = 1/6*[[x,y,z],w] + 1/6*[z,[x,y,w]]",
+        dsl_text="[x,y,[z,w]] = [[x,y,z],w] + [z,[x,y,w]]",
         report_scale=_SIXTH,
     ),
-    BuiltinIdentity(
+    _builtin(
         id="reductivity",
-        variables=("x", "y", "z"),
-        multiplicities=(1, 1, 1),
-        level="operator",
         formula="6[Y(x;y), l+_z] = l+_[x,y,z]",
-        evaluate=_ev_reductivity,
+        dsl_text="[x,y,[z,_]] - [z,[x,y,_]] = [[x,y,z],_]",
     ),
-    BuiltinIdentity(
+    _builtin(
         id="hidden-assoc-operator",
-        variables=("x", "y", "z", "w"),
-        multiplicities=(1, 1, 1, 1),
-        level="operator",
         formula="6[Y(x;y), Y(z;w)] = Y([x,y,z];w) + Y(z;[x,y,w])",
-        evaluate=_ev_hidden_assoc_operator,
+        dsl_text="[x,y,[z,w,_]] - [z,w,[x,y,_]] = [[x,y,z],w,_] + [z,[x,y,w],_]",
         report_scale=_SIXTH,
     ),
-    BuiltinIdentity(
+    _builtin(
         id="ternary-derivation",
-        variables=("x", "y", "z", "w", "v"),
-        multiplicities=(1, 1, 1, 1, 1),
-        level="vector",
         formula="Y(x;y)[z,w,v] = [Y(x;y)z,w,v] + [z,Y(x;y)w,v] + [z,w,Y(x;y)v]",
-        evaluate=_ev_ternary_derivation,
-        dsl_text=("1/6*[x,y,[z,w,v]] = 1/6*[[x,y,z],w,v]"
-                  " + 1/6*[z,[x,y,w],v] + 1/6*[z,w,[x,y,v]]"),
+        dsl_text="[x,y,[z,w,v]] = [[x,y,z],w,v] + [z,[x,y,w],v] + [z,w,[x,y,v]]",
         report_scale=_SIXTH,
     ),
-    BuiltinIdentity(
+    _builtin(
         id="maltsev",
-        variables=("x", "y", "z"),
-        multiplicities=(2, 1, 1),
-        level="vector",
         formula="[[x,y],[x,z]] = [[[x,y],z],x] + [[[y,z],x],x] + [[[z,x],x],y]",
-        evaluate=_ev_maltsev,
         dsl_text="[[x,y],[x,z]] = [[[x,y],z],x] + [[[y,z],x],x] + [[[z,x],x],y]",
     ),
-    BuiltinIdentity(
+    _builtin(
         id="jacobi",
-        variables=("x", "y", "z"),
-        multiplicities=(1, 1, 1),
-        level="vector",
         formula="[[x,y],z] + [[y,z],x] + [[z,x],y] = 0",
-        evaluate=_ev_jacobi,
         dsl_text="[[x,y],z] + [[y,z],x] + [[z,x],y] = 0",
     ),
 )
@@ -308,7 +150,3 @@ GLTS_AXIOM_IDS = (
 # selects.  jacobi is excluded on purpose: it is the Lie-vs-Mal'tsev
 # diagnostic and fails on genuinely non-Lie Mal'tsev algebras such as m7.
 MALTSEV_SUITE_IDS = tuple(i.id for i in _IDENTITIES if i.id != "jacobi")
-
-
-def identity_ids() -> tuple[str, ...]:
-    return tuple(BUILTIN_IDENTITIES)

@@ -1,0 +1,180 @@
+"""Reference implementation of the builtin identities, for the tests.
+
+Each builtin is evaluated here by a hand-written function over the core
+primitives, independently of its DSL text and of the compiled evaluator,
+and :func:`check` scans the substitution stream one substitution at a time.
+Operator identities use ``operator_commutator``, ``left_translation`` and
+``sixfold_yamagutian`` directly; the derivation laws apply ``6Y(x;y)`` as a
+matrix.
+"""
+from fractions import Fraction
+from itertools import product
+
+from maltsev import (
+    CheckReport,
+    Counterexample,
+    Operator,
+    Vector,
+    bracket,
+    left_translation,
+    operator_commutator,
+    sixfold_yamagutian,
+    substitution_options,
+    yamaguti,
+)
+
+
+def _ev_anticommutativity(A, a):
+    x, y = a
+    return bracket(A, x, y) + bracket(A, y, x), Vector.zero(A.dim)
+
+
+def _ev_ternary_antisymmetry(A, a):
+    x, y, z = a
+    return yamaguti(A, x, y, z) + yamaguti(A, y, x, z), Vector.zero(A.dim)
+
+
+def _ev_glts_c(A, a):
+    x, y, z = a
+    lhs = (yamaguti(A, x, y, z) + yamaguti(A, y, z, x) + yamaguti(A, z, x, y)
+           + bracket(A, bracket(A, x, y), z)
+           + bracket(A, bracket(A, y, z), x)
+           + bracket(A, bracket(A, z, x), y))
+    return lhs, Vector.zero(A.dim)
+
+
+def _ev_glts_d(A, a):
+    x, y, z, u = a
+    lhs = (yamaguti(A, bracket(A, x, y), z, u)
+           + yamaguti(A, bracket(A, y, z), x, u)
+           + yamaguti(A, bracket(A, z, x), y, u))
+    return lhs, Vector.zero(A.dim)
+
+
+def _ev_sagle_yamaguti(A, a):
+    x, y, z, w = a
+    lhs = yamaguti(A, x, y, bracket(A, z, w))
+    rhs = bracket(A, yamaguti(A, x, y, z), w) + bracket(A, z, yamaguti(A, x, y, w))
+    return lhs, rhs
+
+
+def _ev_glts_f(A, a):
+    x, y, z, w, v = a
+    lhs = yamaguti(A, x, y, yamaguti(A, z, w, v))
+    rhs = (yamaguti(A, yamaguti(A, x, y, z), w, v)
+           + yamaguti(A, z, yamaguti(A, x, y, w), v)
+           + yamaguti(A, z, w, yamaguti(A, x, y, v)))
+    return lhs, rhs
+
+
+def _ev_yamagutian_antisymmetry(A, a):
+    x, y = a
+    return sixfold_yamagutian(A, x, y), -sixfold_yamagutian(A, y, x)
+
+
+def _ev_yamagutian_constraint(A, a):
+    x, y, z = a
+    lhs = (sixfold_yamagutian(A, bracket(A, x, y), z)
+           + sixfold_yamagutian(A, bracket(A, y, z), x)
+           + sixfold_yamagutian(A, bracket(A, z, x), y))
+    return lhs, Operator.zero(A.dim)
+
+
+def _ev_derivation(A, a):
+    x, y, z, w = a
+    Y6 = sixfold_yamagutian(A, x, y)
+    lhs = Y6.apply(bracket(A, z, w))
+    rhs = bracket(A, Y6.apply(z), w) + bracket(A, z, Y6.apply(w))
+    return lhs, rhs
+
+
+def _ev_reductivity(A, a):
+    x, y, z = a
+    lhs = operator_commutator(sixfold_yamagutian(A, x, y), left_translation(A, z))
+    rhs = left_translation(A, yamaguti(A, x, y, z))
+    return lhs, rhs
+
+
+def _ev_hidden_assoc_operator(A, a):
+    x, y, z, w = a
+    lhs = operator_commutator(sixfold_yamagutian(A, x, y), sixfold_yamagutian(A, z, w))
+    rhs = (sixfold_yamagutian(A, yamaguti(A, x, y, z), w)
+           + sixfold_yamagutian(A, z, yamaguti(A, x, y, w)))
+    return lhs, rhs
+
+
+def _ev_ternary_derivation(A, a):
+    x, y, z, w, v = a
+    Y6 = sixfold_yamagutian(A, x, y)
+    lhs = Y6.apply(yamaguti(A, z, w, v))
+    rhs = (yamaguti(A, Y6.apply(z), w, v)
+           + yamaguti(A, z, Y6.apply(w), v)
+           + yamaguti(A, z, w, Y6.apply(v)))
+    return lhs, rhs
+
+
+def _ev_maltsev(A, a):
+    x, y, z = a
+    lhs = bracket(A, bracket(A, x, y), bracket(A, x, z))
+    rhs = (bracket(A, bracket(A, bracket(A, x, y), z), x)
+           + bracket(A, bracket(A, bracket(A, y, z), x), x)
+           + bracket(A, bracket(A, bracket(A, z, x), x), y))
+    return lhs, rhs
+
+
+def _ev_jacobi(A, a):
+    x, y, z = a
+    lhs = (bracket(A, bracket(A, x, y), z)
+           + bracket(A, bracket(A, y, z), x)
+           + bracket(A, bracket(A, z, x), y))
+    return lhs, Vector.zero(A.dim)
+
+
+
+
+_SIXTH = Fraction(1, 6)
+
+# id -> (variables, multiplicities, report_scale, evaluator)
+ORACLE = {
+    "anticommutativity": ("xy", (1, 1), 1, _ev_anticommutativity),
+    "ternary-antisymmetry": ("xyz", (1, 1, 1), 1, _ev_ternary_antisymmetry),
+    "glts-c": ("xyz", (1, 1, 1), 1, _ev_glts_c),
+    "glts-d": ("xyzu", (1, 1, 1, 1), 1, _ev_glts_d),
+    "sagle-yamaguti": ("xyzw", (1, 1, 1, 1), 1, _ev_sagle_yamaguti),
+    "glts-f": ("xyzwv", (1, 1, 1, 1, 1), 1, _ev_glts_f),
+    "yamagutian-antisymmetry": ("xy", (1, 1), _SIXTH, _ev_yamagutian_antisymmetry),
+    "yamagutian-constraint": ("xyz", (1, 1, 1), _SIXTH, _ev_yamagutian_constraint),
+    "derivation": ("xyzw", (1, 1, 1, 1), _SIXTH, _ev_derivation),
+    "reductivity": ("xyz", (1, 1, 1), 1, _ev_reductivity),
+    "hidden-assoc-operator": ("xyzw", (1, 1, 1, 1), _SIXTH, _ev_hidden_assoc_operator),
+    "ternary-derivation": ("xyzwv", (1, 1, 1, 1, 1), _SIXTH, _ev_ternary_derivation),
+    "maltsev": ("xyz", (2, 1, 1), 1, _ev_maltsev),
+    "jacobi": ("xyz", (1, 1, 1), 1, _ev_jacobi),
+}
+
+
+def check(A, identity_id: str, *, exhaustive: bool = False) -> CheckReport:
+    """The report ``check_builtin`` must give, from a per-substitution scan.
+
+    Without ``exhaustive`` the scan stops at the first violation, so the
+    count of substitutions seen is also the count checked.
+    """
+    variables, multiplicities, scale, evaluate = ORACLE[identity_id]
+    stream = product(*(substitution_options(A.dim, m) for m in multiplicities))
+    first = None
+    violations = 0
+    count = 0
+    for args in stream:
+        count += 1
+        lhs, rhs = evaluate(A, args)
+        if lhs != rhs:
+            violations += 1
+            if first is None:
+                first = Counterexample(substitution=tuple(zip(variables, args)),
+                                       left=scale * lhs, right=scale * rhs)
+            if not exhaustive:
+                break
+    return CheckReport(
+        identity=identity_id, algebra=A.name, holds=first is None,
+        substitutions_checked=count,
+        counterexample=first, violations=violations if exhaustive else None)

@@ -21,6 +21,7 @@ from maltsev import (
 from maltsev import checker, dsl
 from maltsev.identities import BUILTIN_IDENTITIES, GLTS_AXIOM_IDS
 
+from . import oracle
 from .support import RANDOM_VECTOR_SEED, random_vector
 
 
@@ -120,6 +121,25 @@ def test_exhaustive_counts_all_violations(nc3):
     assert report.violations == 21
     # same first counterexample as the short-circuit run
     assert report.counterexample == check_builtin(nc3, "maltsev").counterexample
+
+
+def test_scan_reads_the_stream_from_its_chunk_start(nc3):
+    # every [start, stop) range finds exactly the oracle's violations in it
+    evaluate = oracle.ORACLE["maltsev"][3]
+    stream = list(substitution_stream(3, (2, 1, 1)))
+    bad = []
+    for i, args in enumerate(stream):
+        lhs, rhs = evaluate(nc3, args)
+        if lhs != rhs:
+            bad.append(i)
+    assert len(bad) == 21
+    resolved = checker._resolve_task(("builtin", "maltsev"))
+    for start in range(len(stream)):
+        for stop in range(start, len(stream) + 1, 7):
+            inside = [i for i in bad if start <= i < stop]
+            first = inside[0] if inside else None
+            assert checker._scan(nc3, resolved, start, stop, True) == (first, len(inside))
+            assert checker._scan(nc3, resolved, start, stop, False) == (first, min(1, len(inside)))
 
 
 def test_exhaustive_on_holding_identity(so3):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,11 @@ from maltsev import (
     parse_identity,
     parse_identity_file,
 )
-from maltsev.dsl import MAX_NESTING, Bracket, Scale, Sum, Var
+from maltsev.cli import main
+from maltsev.dsl import MAX_NESTING, Bracket, Column, Scale, Sum, Var
 from maltsev.identities import BUILTIN_IDENTITIES
+
+from .support import RANDOM_VECTOR_SEED, random_algebra, random_vector
 
 
 # ------------------------------------------------------------------ parsing
@@ -142,8 +146,6 @@ def test_parse_identity_file_reports_failing_line():
 
 def test_roundtrip_builtin_dsl_texts():
     for ident in BUILTIN_IDENTITIES.values():
-        if ident.dsl_text is None:
-            continue
         ast = parse_identity(ident.dsl_text)
         assert parse_identity(format_identity(ast)) == ast
 
@@ -254,3 +256,75 @@ def test_check_identity_exhaustive_and_workers_match(nc3):
     assert a.holds == b.holds
     assert a.violations == b.violations == 6
     assert a.counterexample == b.counterexample
+
+
+# ------------------------------------------------------------ column variable
+
+_OPERATOR_TEXTS = [ident.dsl_text for ident in BUILTIN_IDENTITIES.values()
+                   if ident.level == "operator"] + [
+    "2*_ - 1/3*[x,_] = [x,[y,_]]",
+    "_ = _",
+    "0 = [[x,y],[x,_]]",
+]
+
+
+def test_column_is_neither_a_variable_nor_counted():
+    ast = parse_identity("[x,y,[z,_]] - [z,[x,y,_]] = [[x,y,z],_]")
+    assert ast.variables == ("x", "y", "z")
+    assert ast.multiplicities == (1, 1, 1)
+    assert ast.level == "operator"
+    assert ast.rhs == Bracket((Bracket((Var("x"), Var("y"), Var("z"))), Column()))
+    assert parse_identity("[x,y] = 0").level == "vector"
+    assert check_identity(builtin("so3"), ast).substitutions_checked == 27
+
+
+@pytest.mark.parametrize("text", _OPERATOR_TEXTS)
+def test_column_roundtrip(text):
+    ast = parse_identity(text)
+    assert parse_identity(format_identity(ast)) == ast
+
+
+@pytest.mark.parametrize("text,position,fragment", [
+    ("[_,x] = 0", (1, 2), "only as the last bracket argument"),
+    ("[x,[_,_]] = 0", (1, 5), "only as the last bracket argument"),  # twice in one term
+    ("[x,_] = [x,y]", (1, 9), "'_' in every term"),
+    ("[x,_] + y = 0", (1, 9), "'_' in every term"),
+    ("[x, y + _] = 0", (1, 9), "no '_' in a sum inside a bracket"),
+])
+def test_misplaced_column_exits_2_with_position(tmp_path, capsys, text, position, fragment):
+    with pytest.raises(IdentitySyntaxError) as exc:
+        parse_identity(text)
+    assert (exc.value.line, exc.value.column) == position
+    assert fragment in str(exc.value)
+    ident_file = tmp_path / "bad.txt"
+    ident_file.write_text(f"[x,y] = -1*[y,x]\n{text}\n", encoding="utf-8")
+    assert main(["check", "so3", "--dsl", str(ident_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert f"line 2, column {position[1]}" in captured.err
+
+
+@pytest.mark.parametrize("text", _OPERATOR_TEXTS)
+def test_column_evaluation_matches_the_vector_form(text):
+    # column l of a side is its value at _ = e_l, so the operator applied to
+    # any vector v is the side with a plain variable put in place of _, at v
+    ast = parse_identity(text)
+    vector_form = parse_identity(text.replace("_", "col"))
+    rng = random.Random(RANDOM_VECTOR_SEED)
+    algebras = [random_algebra(rng, dim, dim) for dim in (1, 2, 3, 4)]
+    for A in algebras + [builtin("m7"), builtin("nc3")]:
+        for _ in range(4):
+            assignment = {name: random_vector(rng, A.dim) for name in vector_form.variables}
+            operators = eval_ast(A, ast, assignment)
+            v = assignment["col"]
+            assert tuple(P.apply(v) for P in operators) == eval_ast(A, vector_form, assignment)
+
+
+def test_operator_identity_from_text_reports_an_operator(nc3):
+    report = check_identity(nc3, parse_identity(BUILTIN_IDENTITIES["reductivity"].dsl_text))
+    builtin_report = check_builtin(nc3, "reductivity")
+    assert not report.holds
+    assert report.counterexample == builtin_report.counterexample
+    assert report.substitutions_checked == builtin_report.substitutions_checked
+    data = report.to_dict()["counterexample"]
+    assert data["left"]["kind"] == data["right"]["kind"] == "operator"
