@@ -8,33 +8,26 @@ random antisymmetric dim-3 algebras with small integer constants, and
 reports any verdict disagreement (exit code 1 if one is found).
 """
 import argparse
-import random
 import sys
+from pathlib import Path
 
-from maltsev import Algebra, Vector, check_equivalence
-from maltsev.catalog import full_catalog
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-
-def random_dim3_algebra(rng: random.Random, index: int) -> Algebra:
-    brackets = {
-        pair: Vector([rng.randint(-2, 2) for _ in range(3)])
-        for pair in ((0, 1), (0, 2), (1, 2))
-    }
-    return Algebra(f"rand3-{index}", ("e1", "e2", "e3"), brackets)
+from maltsev import check_equivalence  # noqa: E402
+from maltsev.catalog import full_catalog  # noqa: E402
+from tests.support import RANDOM_ALGEBRA_SEED, random_dim3_algebras  # noqa: E402
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=100,
                         help="number of random algebras (default 100)")
-    parser.add_argument("--seed", type=int, default=20260809)
+    parser.add_argument("--seed", type=int, default=RANDOM_ALGEBRA_SEED)
     parser.add_argument("--verbose", action="store_true",
                         help="print one line per algebra")
     args = parser.parse_args(argv)
 
-    rng = random.Random(args.seed)
-    algebras = list(full_catalog())
-    algebras += [random_dim3_algebra(rng, i) for i in range(args.count)]
+    algebras = list(full_catalog()) + random_dim3_algebras(args.count, args.seed)
 
     disagreements = []
     both_hold = 0

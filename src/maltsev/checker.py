@@ -120,7 +120,11 @@ class EquivalenceReport:
 
 
 def _resolve_task(task: Task):
-    """Return (label, variables, multiplicities, evaluate, report_scale)."""
+    """Return (label, ast, evaluate, report_scale).
+
+    ``ast.plan`` scans the stream; ``evaluate`` re-evaluates the first
+    counterexample for the report.
+    """
     kind, payload = task
     if kind == "builtin":
         try:
@@ -129,59 +133,62 @@ def _resolve_task(task: Task):
             raise UnknownIdentityError(
                 f"unknown identity {payload!r}; known: {', '.join(BUILTIN_IDENTITIES)}"
             ) from None
-        return ident.id, ident.variables, ident.multiplicities, ident.evaluate, ident.report_scale
+        return ident.id, ident.ast, ident.evaluate, ident.report_scale
     if kind == "dsl":
         ast = dsl.parse_identity(payload)
-        label = dsl.format_identity(ast)
 
         def evaluate(A, args):
             return dsl.eval_ast(A, ast, dict(zip(ast.variables, args)))
 
-        return label, ast.variables, ast.multiplicities, evaluate, 1
+        return dsl.format_identity(ast), ast, evaluate, 1
     raise ValueError(f"unknown task kind {kind!r}")
 
 
-def _scan_chunk(A: Algebra, task: Task, start: int, stop: int,
-                exhaustive: bool) -> tuple[int | None, int]:
-    """Pool entry point: resolve ``task`` in the worker, then :func:`_scan`."""
-    return _scan(A, _resolve_task(task), start, stop, exhaustive)
+# The pool's workers resolve their task once, in _init_worker.
+_worker: tuple = ()
+
+
+def _init_worker(A: Algebra, task: Task) -> None:
+    global _worker
+    _worker = (A, _resolve_task(task))
+
+
+def _scan_chunk(start: int, stop: int, exhaustive: bool) -> tuple[int | None, int]:
+    """Pool entry point: :func:`_scan` with the worker's algebra and task."""
+    return _scan(*_worker, start, stop, exhaustive)
 
 
 def _scan(A: Algebra, resolved, start: int, stop: int,
           exhaustive: bool) -> tuple[int | None, int]:
     """Scan substitutions [start, stop); return (first violating index, count)."""
-    _, _, multiplicities, evaluate, _ = resolved
-    stream = islice(substitution_stream(A.dim, multiplicities), start, stop)
-    first = None
-    nviol = 0
-    for idx, args in enumerate(stream, start):
-        lhs, rhs = evaluate(A, args)
-        if lhs != rhs:
-            if first is None:
-                first = idx
-            nviol += 1
-            if not exhaustive:
-                break
-    return first, nviol
+    ast = resolved[1]
+    options = [substitution_options(A.dim, m) for m in ast.multiplicities]
+    return ast.plan.scan(A, options, start, stop, exhaustive)
 
 
 def _report_for(A: Algebra, resolved, first: int | None, nviol: int,
                 total: int, exhaustive: bool) -> CheckReport:
-    label, variables, multiplicities, evaluate, report_scale = resolved
+    label, ast, evaluate, report_scale = resolved
     if first is None:
         return CheckReport(identity=label, algebra=A.name, holds=True,
                            substitutions_checked=total,
                            violations=0 if exhaustive else None)
-    args = next(islice(substitution_stream(A.dim, multiplicities), first, None))
+    args = next(islice(substitution_stream(A.dim, ast.multiplicities), first, None))
     lhs, rhs = evaluate(A, args)
     if report_scale != 1:
         lhs = report_scale * lhs
         rhs = report_scale * rhs
-    ce = Counterexample(substitution=tuple(zip(variables, args)), left=lhs, right=rhs)
+    ce = Counterexample(substitution=tuple(zip(ast.variables, args)), left=lhs, right=rhs)
     return CheckReport(identity=label, algebra=A.name, holds=False,
                        substitutions_checked=total if exhaustive else first + 1,
                        counterexample=ce,
                        violations=nviol if exhaustive else None)
+
+
+def _chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
+    """The [start, stop) ranges a pool of ``workers`` scans, in stream order."""
+    chunk = max(64, -(-total // (workers * _CHUNKS_PER_WORKER)))
+    return [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
 
 
 def run_check(A: Algebra, task: Task, *, exhaustive: bool = False,
@@ -191,25 +198,24 @@ def run_check(A: Algebra, task: Task, *, exhaustive: bool = False,
     The report is a pure function of (algebra, task, exhaustive): with
     several workers the stream is scanned in order-preserving chunks and
     ``substitutions_checked`` keeps its serial meaning.  The pool never has
-    more processes than chunks or than ``os.cpu_count()``.
+    more processes than chunks or than ``os.cpu_count()``, and each process
+    receives the algebra and the task once.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     resolved = _resolve_task(task)
-    _, _, multiplicities, _, _ = resolved
-    total = substitution_count(A.dim, multiplicities)
+    total = substitution_count(A.dim, resolved[1].multiplicities)
     if workers == 1 or total < _PARALLEL_MIN:
         first, nviol = _scan(A, resolved, 0, total, exhaustive)
         return _report_for(A, resolved, first, nviol, total, exhaustive)
 
-    chunk = max(64, -(-total // (workers * _CHUNKS_PER_WORKER)))
-    bounds = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
+    bounds = _chunk_bounds(total, workers)
     first = None
     nviol = 0
     processes = min(workers, len(bounds), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=processes) as pool:
-        futures = [pool.submit(_scan_chunk, A, task, s, e, exhaustive)
-                   for s, e in bounds]
+    with ProcessPoolExecutor(max_workers=processes, initializer=_init_worker,
+                             initargs=(A, task)) as pool:
+        futures = [pool.submit(_scan_chunk, s, e, exhaustive) for s, e in bounds]
         for fut in futures:  # submission order == stream order
             f, n = fut.result()
             nviol += n

@@ -22,7 +22,9 @@ pairs are never stored.  ``yamaguti`` is then a trilinear and
 values of the definitions above.  The table is sparse and keeps only
 nonzero entries: a fully filled one holds at most ``dim**3 * (dim - 1) / 2``
 scalars, O(dim^4), and an algebra whose ternary brackets are never asked for
-holds nothing.
+holds nothing.  A :class:`PartialMap` ``[x,y,.]`` contracts the same table
+with a fixed ``x`` and ``y``, one column at a time, for the identity
+checker's staged scan.
 
 All values are immutable after construction and all operations are pure;
 scalars are Python ints or ``fractions.Fraction`` (always in lowest terms),
@@ -33,6 +35,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Mapping
 
 Scalar = int | Fraction
@@ -122,7 +126,7 @@ class Vector:
         if len(self.coords) != len(other.coords):
             raise DimensionMismatch(
                 f"vector addition: dims {self.dim} and {other.dim} differ")
-        return Vector._raw(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return Vector._raw(tuple(map(add, self.coords, other.coords)))
 
     def __sub__(self, other: Vector) -> Vector:
         if not isinstance(other, Vector):
@@ -130,14 +134,14 @@ class Vector:
         if len(self.coords) != len(other.coords):
             raise DimensionMismatch(
                 f"vector subtraction: dims {self.dim} and {other.dim} differ")
-        return Vector._raw(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return Vector._raw(tuple(map(sub, self.coords, other.coords)))
 
     def __neg__(self) -> Vector:
-        return Vector._raw(tuple(-a for a in self.coords))
+        return Vector._raw(tuple(map(neg, self.coords)))
 
     def __rmul__(self, c: Scalar) -> Vector:
         _check_scalar(c)
-        return Vector._raw(tuple(c * a for a in self.coords))
+        return Vector._raw(tuple(map(mul, repeat(c), self.coords)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Vector):
@@ -399,6 +403,64 @@ def _pair_columns(A, x, y):
             if s:
                 out.append((s, A._ternary_columns(i, j)))
     return out
+
+
+class PartialMap:
+    """``[a, .]`` or ``[a, b, .]`` on one algebra, with lazily filled columns.
+
+    Column l is ``[a, e_l]`` (from the structure constants) or ``[a, b, e_l]``
+    (a contraction of the ternary table).  It is computed the first time
+    :meth:`apply` meets a vector with a nonzero l-th coordinate and kept
+    until the map is dropped, so a map applied once costs about one
+    ``bracket`` or ``yamaguti`` call.  ``apply(v)`` equals
+    ``bracket(A, a, v)`` or ``yamaguti(A, a, b, v)`` exactly.
+    """
+
+    __slots__ = ("_A", "_a", "_b", "_pairs", "_cols")
+
+    def __init__(self, A: Algebra, a: Vector, b: Vector | None = None):
+        dim = len(A.basis)
+        if len(a.coords) != dim:
+            _require_dim(A, "partial map", a=a)
+        if b is not None and len(b.coords) != dim:
+            _require_dim(A, "partial map", b=b)
+        self._A = A
+        self._a = a
+        self._b = b
+        self._pairs = None  # _pair_columns(A, a, b), on the first ternary column
+        self._cols: list = [None] * dim
+
+    def _column(self, l: int) -> Vector:
+        acc = [0] * len(self._cols)
+        if self._b is None:
+            rows = self._A._rows
+            for i, ai in enumerate(self._a.coords):
+                if ai:
+                    for k, c in rows[i][l]:
+                        acc[k] += ai * c
+        else:
+            pairs = self._pairs
+            if pairs is None:
+                pairs = self._pairs = _pair_columns(self._A, self._a, self._b)
+            for s, cols in pairs:
+                for k, c in cols[l]:
+                    acc[k] += s * c
+        col = self._cols[l] = Vector._raw(tuple(acc))
+        return col
+
+    def apply(self, v: Vector) -> Vector:
+        coords, cols = v.coords, self._cols
+        if len(coords) != len(cols):
+            raise DimensionMismatch(
+                f"partial map application: map dim {len(cols)}, vector dim {v.dim}")
+        out = None
+        for l, c in enumerate(coords):
+            if c:
+                col = (cols[l] or self._column(l)).coords
+                if c != 1:
+                    col = map(mul, repeat(c), col)
+                out = col if out is None else map(add, out, col)
+        return Vector.zero(len(cols)) if out is None else Vector._raw(tuple(out))
 
 
 def _require_dim(A: Algebra, what: str, **vectors: Vector) -> None:

@@ -29,10 +29,18 @@ Yamagutian ``6Y(a;b)``, and a bracket whose last argument is an operator
 composes with it (``[a,b,[c,_]] = 6Y(a;b) l+_c``).  ``_`` is neither a
 variable nor substituted, and a misplaced ``_`` is a syntax error.
 
-A parsed identity compiles once, on first use, into a straight-line
-program over registers (``IdentityAst.plan``): the substituted variables
-first, in ``variables`` order, then one register per distinct subterm.
-Builtin and user identities are checked through that one evaluator.
+A parsed identity compiles once, on first use, into a staged straight-line
+program over registers (``IdentityAst.plan``, a :class:`Program`): the
+substituted variables first, in ``variables`` order, then one register per
+distinct subterm.  Each step has the level of the fastest-varying variable
+it depends on, so a scan of the substitution stream reruns a step only
+when one of its own variables changes.  A bracket whose last argument
+varies faster than the others is split into a partial map ``[a,.]`` or
+``[a,b,.]``, built when ``a`` or ``b`` change, and an ``apply`` of it to
+the last argument; the map fills its columns ``[a,e_l]``/``[a,b,e_l]`` on
+first use.  The arithmetic is exact, so every value, count and first
+counterexample equals that of evaluating each substitution afresh.
+Builtin and user identities are checked through that one program.
 """
 from __future__ import annotations
 
@@ -47,6 +55,7 @@ from .core import (
     Algebra,
     DimensionMismatch,
     Operator,
+    PartialMap,
     Scalar,
     Vector,
     bracket,
@@ -105,8 +114,8 @@ class IdentityAst:
         return "operator" if any(isinstance(n, Column) for n in nodes) else "vector"
 
     @cached_property
-    def plan(self) -> Callable[[Algebra, Sequence[Vector]], tuple[Value, Value]]:
-        """Both sides compiled: (algebra, vectors in ``variables`` order) -> sides."""
+    def plan(self) -> Program:
+        """Both sides compiled into one staged program (see :class:`Program`)."""
         return _compile(self)
 
 
@@ -368,6 +377,18 @@ def _yamaguti_step(i, j, k):
     return lambda A, r: yamaguti(A, r[i], r[j], r[k])
 
 
+def _bracket_partial_step(i):
+    return lambda A, r: PartialMap(A, r[i])
+
+
+def _yamaguti_partial_step(i, j):
+    return lambda A, r: PartialMap(A, r[i], r[j])
+
+
+def _apply_step(i, j):
+    return lambda A, r: r[i].apply(r[j])
+
+
 def _left_translation_step(i):
     return lambda A, r: left_translation(A, r[i])
 
@@ -400,21 +421,112 @@ def _identity_step():
     return lambda A, r: Operator.identity(A.dim)
 
 
-def _compile(ast: IdentityAst) -> Callable[[Algebra, Sequence[Vector]], tuple[Value, Value]]:
-    """Compile both sides into one straight-line program over registers.
+class Program:
+    """Both sides of an identity as a staged straight-line program.
 
     The registers hold the substituted vectors in ``variables`` order, then
-    the value of each distinct subterm; each step appends one register.
+    the value of each distinct subterm.  Each step has a *level*: one more
+    than the index of the last variable it depends on, or 0 for a constant
+    such as ``0`` or ``_``.  In stream order the last variable is fastest,
+    so when variable k advances only the steps of level > k run again.
+    :meth:`evaluate` runs every step once; :meth:`scan` drives the program
+    over a range of the substitution stream.
     """
-    index = {name: i for i, name in enumerate(ast.variables)}
-    steps = []
-    registers: dict[tuple, int] = {}  # (maker, operands) -> register: a repeated subterm runs once
 
-    def emit(make, *operands) -> int:
-        key = (make, operands)
+    def __init__(self, nvars: int, steps: Sequence[tuple[int, Callable]],
+                 levels: Sequence[int], lhs: int, rhs: int):
+        self.nvars = nvars
+        self.size = len(levels)
+        self.lhs = lhs
+        self.rhs = rhs
+        # runs[k]: the (register, step) pairs with k <= level < nvars;
+        # inner: those of level nvars, which follow the fastest variable
+        self.runs = tuple(tuple(s for s in steps if k <= levels[s[0]] < nvars)
+                          for k in range(nvars + 1))
+        self.inner = tuple(s for s in steps if levels[s[0]] == nvars)
+        self.steps = tuple(steps)
+
+    def evaluate(self, A: Algebra, args: Sequence[Vector]) -> tuple[Value, Value]:
+        """Both sides at one substitution (vectors in ``variables`` order)."""
+        r = [*args, *[None] * (self.size - len(args))]
+        for out, step in self.steps:
+            r[out] = step(A, r)
+        return r[self.lhs], r[self.rhs]
+
+    def scan(self, A: Algebra, options: Sequence[Sequence[Vector]], start: int, stop: int,
+             exhaustive: bool) -> tuple[int | None, int]:
+        """Scan substitutions [start, stop) of the product of ``options``.
+
+        ``options`` holds one option list per variable, the last variable
+        fastest, and ``stop`` is at most the product's length.  Returns the
+        first violating stream index (or None) and the number of violations;
+        without ``exhaustive`` the scan ends at the first violation.
+        """
+        if start >= stop:
+            return None, 0
+        n, runs, inner, lhs, rhs = self.nvars, self.runs, self.inner, self.lhs, self.rhs
+        if not n:
+            left, right = self.evaluate(A, ())
+            return (None, 0) if left == right else (start, 1)
+        idx = [0] * n  # the current option index of each variable
+        rem = start
+        for k in reversed(range(n)):
+            rem, idx[k] = divmod(rem, len(options[k]))
+        r = [options[k][i] for k, i in enumerate(idx)] + [None] * (self.size - n)
+        last = n - 1
+        fastest = options[last]
+        first, nviol, level = None, 0, 0
+        base = start - idx[last]  # stream index of the block's first option
+        while True:
+            for out, step in runs[level]:
+                r[out] = step(A, r)
+            end = min(len(fastest), stop - base)
+            for i in range(idx[last], end):
+                r[last] = fastest[i]
+                for out, step in inner:
+                    r[out] = step(A, r)
+                if r[lhs] != r[rhs]:
+                    if first is None:
+                        first = base + i
+                    nviol += 1
+                    if not exhaustive:
+                        return first, nviol
+            base += len(fastest)
+            if base >= stop:
+                return first, nviol
+            idx[last] = 0
+            k = last - 1  # carry into the slower variables
+            while idx[k] + 1 == len(options[k]):
+                idx[k] = 0
+                r[k] = options[k][0]
+                k -= 1
+            idx[k] += 1
+            r[k] = options[k][idx[k]]
+            level = k + 1
+
+
+def _compile(ast: IdentityAst) -> Program:
+    """Compile both sides into one staged program.
+
+    A bracket on vectors whose last argument has a higher level than the
+    others is split into a :class:`~maltsev.core.PartialMap` ``[a,.]`` or
+    ``[a,b,.]``, built at the level of ``a`` and ``b``, and its ``apply`` at
+    the level of the last argument; the map's columns then serve every
+    value the last argument takes before ``a`` or ``b`` change.
+    """
+    nvars = len(ast.variables)
+    index = {name: i for i, name in enumerate(ast.variables)}
+    levels = list(range(1, nvars + 1))  # register -> level
+    steps = []
+    # (maker, constants, operands) -> register: a repeated subterm runs once
+    registers: dict[tuple, int] = {}
+
+    def emit(make, operands: tuple[int, ...], *constants) -> int:
+        key = (make, constants, operands)
         if key not in registers:
-            registers[key] = len(index) + len(steps)
-            steps.append(make(*operands))
+            out = registers[key] = len(levels)
+            levels.append(max((levels[i] for i in operands), default=0))
+            steps.append((out, make(*constants, *operands)))
         return registers[key]
 
     def compile_node(node: Expr, zero: type) -> tuple[int, bool]:
@@ -422,42 +534,37 @@ def _compile(ast: IdentityAst) -> Callable[[Algebra, Sequence[Vector]], tuple[Va
         if isinstance(node, Var):
             return index[node.name], False
         if isinstance(node, Column):
-            return emit(_identity_step), True
+            return emit(_identity_step, ()), True
         if isinstance(node, Scale):
             reg, is_operator = compile_node(node.child, zero)
-            return emit(_scale_step, node.coeff, reg), is_operator
+            return emit(_scale_step, (reg,), node.coeff), is_operator
         if isinstance(node, Sum):
             if not node.terms:
-                return emit(_zero_step, zero), zero is Operator
+                return emit(_zero_step, (), zero), zero is Operator
             acc, is_operator = compile_node(node.terms[0], zero)
             for t in node.terms[1:]:
                 if isinstance(t, Scale) and t.coeff == -1:
-                    acc = emit(_sub_step, acc, compile_node(t.child, zero)[0])
+                    acc = emit(_sub_step, (acc, compile_node(t.child, zero)[0]))
                 else:
-                    acc = emit(_add_step, acc, compile_node(t, zero)[0])
+                    acc = emit(_add_step, (acc, compile_node(t, zero)[0]))
             return acc, is_operator
         *front, last = node.args
-        front = [compile_node(a, Vector)[0] for a in front]
+        front = tuple(compile_node(a, Vector)[0] for a in front)
         linear = _left_translation_step if len(front) == 1 else _sixfold_yamagutian_step
         if isinstance(last, Column):
-            return emit(linear, *front), True
+            return emit(linear, front), True
         reg, is_operator = compile_node(last, Vector)
         if is_operator:
-            return emit(_compose_step, emit(linear, *front), reg), True
-        return emit(_bracket_step if len(front) == 1 else _yamaguti_step, *front, reg), False
+            return emit(_compose_step, (emit(linear, front), reg)), True
+        if levels[reg] > max(levels[i] for i in front):
+            partial = _bracket_partial_step if len(front) == 1 else _yamaguti_partial_step
+            return emit(_apply_step, (emit(partial, front), reg)), False
+        return emit(_bracket_step if len(front) == 1 else _yamaguti_step, (*front, reg)), False
 
     zero = Operator if ast.level == "operator" else Vector
     lhs = compile_node(ast.lhs, zero)[0]
     rhs = compile_node(ast.rhs, zero)[0]
-    program = tuple(steps)
-
-    def evaluate(A: Algebra, args: Sequence[Vector]) -> tuple[Value, Value]:
-        regs = list(args)
-        for step in program:
-            regs.append(step(A, regs))
-        return regs[lhs], regs[rhs]
-
-    return evaluate
+    return Program(nvars, steps, levels, lhs, rhs)
 
 
 def eval_ast(A: Algebra, ast: IdentityAst,
@@ -476,7 +583,7 @@ def eval_ast(A: Algebra, ast: IdentityAst,
                 f"eval: variable {name!r} has dim {v.dim}, "
                 f"algebra {A.name!r} has dim {A.dim}")
         args.append(v)
-    return ast.plan(A, args)
+    return ast.plan.evaluate(A, args)
 
 
 def check_identity(A: Algebra, ast: IdentityAst, *, exhaustive: bool = False,

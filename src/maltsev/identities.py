@@ -20,11 +20,11 @@ so it is not part of the default "all" selection.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import Scalar
-from .dsl import parse_identity
+from .dsl import IdentityAst, parse_identity
 
 
 @dataclass(frozen=True)
@@ -34,12 +34,15 @@ class BuiltinIdentity:
     multiplicities: tuple[int, ...]
     level: str  # "vector" or "operator"
     formula: str  # the identity as stated, for display
-    # (algebra, substituted vectors) -> (lhs, rhs): the compiled dsl_text
+    # (algebra, substituted vectors) -> (lhs, rhs) at one substitution: the
+    # compiled dsl_text.  The checker scans the stream with ``ast.plan`` and
+    # calls this only to re-evaluate a counterexample.
     evaluate: Callable
     dsl_text: str
     # True sides = report_scale * evaluated sides (the text may be scaled to
     # keep the arithmetic integral).
     report_scale: Scalar = 1
+    ast: IdentityAst = field(kw_only=True, repr=False, compare=False)  # dsl_text parsed
 
     @property
     def arity(self) -> int:
@@ -48,9 +51,13 @@ class BuiltinIdentity:
 
 def _builtin(id: str, formula: str, dsl_text: str, report_scale: Scalar = 1) -> BuiltinIdentity:
     ast = parse_identity(dsl_text)
+
+    def evaluate(A, args):  # compiles the text on first use, not at import
+        return ast.plan.evaluate(A, args)
+
     return BuiltinIdentity(id=id, variables=ast.variables, multiplicities=ast.multiplicities,
-                           level=ast.level, formula=formula, evaluate=ast.plan,
-                           dsl_text=dsl_text, report_scale=report_scale)
+                           level=ast.level, formula=formula, evaluate=evaluate,
+                           dsl_text=dsl_text, report_scale=report_scale, ast=ast)
 
 
 _SIXTH = Fraction(1, 6)

@@ -1,4 +1,4 @@
-"""Reference implementation of the builtin identities, for the tests.
+"""Reference implementations for the tests.
 
 Each builtin is evaluated here by a hand-written function over the core
 primitives, independently of its DSL text and of the compiled evaluator,
@@ -6,6 +6,10 @@ and :func:`check` scans the substitution stream one substitution at a time.
 Operator identities use ``operator_commutator``, ``left_translation`` and
 ``sixfold_yamagutian`` directly; the derivation laws apply ``6Y(x;y)`` as a
 matrix.
+
+:func:`eval_side` evaluates any parsed identity by recursion over its AST,
+and :func:`check_ast` scans with it one substitution at a time: no
+registers, no stages and no partial maps.
 """
 from fractions import Fraction
 from itertools import product
@@ -22,6 +26,7 @@ from maltsev import (
     substitution_options,
     yamaguti,
 )
+from maltsev.dsl import Bracket, Column, Scale, Sum, Var
 
 
 def _ev_anticommutativity(A, a):
@@ -130,8 +135,6 @@ def _ev_jacobi(A, a):
     return lhs, Vector.zero(A.dim)
 
 
-
-
 _SIXTH = Fraction(1, 6)
 
 # id -> (variables, multiplicities, report_scale, evaluator)
@@ -178,3 +181,67 @@ def check(A, identity_id: str, *, exhaustive: bool = False) -> CheckReport:
         identity=identity_id, algebra=A.name, holds=first is None,
         substitutions_checked=count,
         counterexample=first, violations=violations if exhaustive else None)
+
+
+def eval_side(A, node, env, zero):
+    """One side of a parsed identity at the assignment ``env``.
+
+    ``_`` is the identity operator, and a bracket whose last argument is an
+    operator P is ``l+_a @ P`` or ``6Y(a;b) @ P``; ``zero`` is the type of
+    the literal ``0``.
+    """
+    if isinstance(node, Var):
+        return env[node.name]
+    if isinstance(node, Column):
+        return Operator.identity(A.dim)
+    if isinstance(node, Scale):
+        return node.coeff * eval_side(A, node.child, env, zero)
+    if isinstance(node, Sum):
+        total = zero.zero(A.dim)
+        for t in node.terms:
+            total = total + eval_side(A, t, env, zero)
+        return total
+    assert isinstance(node, Bracket)
+    *front, last = [eval_side(A, a, env, Vector) for a in node.args]
+    if isinstance(last, Operator):
+        linear = left_translation if len(front) == 1 else sixfold_yamagutian
+        return linear(A, *front) @ last
+    return bracket(A, *front, last) if len(front) == 1 else yamaguti(A, *front, last)
+
+
+def violations(A, ast, *, exhaustive=True):
+    """(stream index, substitution, lhs, rhs) at every violation, and the count.
+
+    Without ``exhaustive`` the scan stops at the first violation.
+    """
+    zero = Operator if ast.level == "operator" else Vector
+    stream = product(*(substitution_options(A.dim, m) for m in ast.multiplicities))
+    bad = []
+    count = 0
+    for index, args in enumerate(stream):
+        count += 1
+        env = dict(zip(ast.variables, args))
+        lhs, rhs = eval_side(A, ast.lhs, env, zero), eval_side(A, ast.rhs, env, zero)
+        if lhs != rhs:
+            bad.append((index, args, lhs, rhs))
+            if not exhaustive:
+                break
+    return bad, count
+
+
+def check_ast(A, ast, label, *, scale=1, exhaustive=False, scanned=None) -> CheckReport:
+    """The report ``run_check`` must give for ``ast``, from :func:`violations`.
+
+    ``scanned`` may pass in the result of an earlier :func:`violations` call.
+    """
+    bad, count = violations(A, ast, exhaustive=exhaustive) if scanned is None else scanned
+    first = None
+    if bad:
+        index, args, lhs, rhs = bad[0]
+        first = Counterexample(substitution=tuple(zip(ast.variables, args)),
+                               left=scale * lhs, right=scale * rhs)
+        if not exhaustive:
+            count = index + 1
+    return CheckReport(
+        identity=label, algebra=A.name, holds=not bad, substitutions_checked=count,
+        counterexample=first, violations=len(bad) if exhaustive else None)

@@ -169,12 +169,17 @@ def test_invalid_worker_count(so3):
 
 
 class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records its size, runs inline."""
+    """Stands in for ProcessPoolExecutor: records its size, runs inline.
+
+    The initializer runs once, here, as it would once in each worker.
+    """
 
     sizes: list[int] = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.sizes.append(max_workers)
+        if initializer is not None:
+            initializer(*initargs)
 
     def __enter__(self):
         return self

@@ -1,0 +1,159 @@
+"""The staged scan against a recursive evaluator, one substitution at a time.
+
+``run_check`` drives each identity's compiled program over the stream,
+rerunning only the steps whose variables changed and applying partial maps
+``[a,.]``/``[a,b,.]``.  ``oracle.check_ast`` evaluates the AST afresh at
+every substitution.  The two must agree on every report field, in both
+modes, and ``_scan`` must agree on every chunk range a pool would use.
+"""
+import random
+from functools import lru_cache
+
+import pytest
+
+from maltsev import builtin, check_builtin, substitution_count
+from maltsev import checker
+from maltsev.catalog import full_catalog
+from maltsev.cli import main
+from maltsev.dsl import format_identity, parse_identity
+from maltsev.identities import BUILTIN_IDENTITIES
+
+from . import oracle
+from .support import RANDOM_ALGEBRA_SEED, random_algebra, random_dim3_algebras
+from .test_checker import _InlinePool
+
+EDGE_TEXTS = (
+    "0 = 0",                                           # no variables
+    "[x,x] = 0",
+    "[x,x,y] + [y,y,x] = 0",
+    "[x,[y,z]] + [y,[z,x]] + [z,[x,y]] = [x,y] - [x,y]",  # rhs constant in z
+    "[[x,y],z] + [[y,z],x] = [z,[x,y]] - [[z,x],y]",
+    "[z,x,y] = [x,z,y] + [y,x,z]",                     # fastest variable first, middle
+    "[[y,z],x,w] = [x,[y,w]]",
+    "[x + y,z] = [x,z] + [y,z]",                       # sums inside brackets
+    "[x,y + z,z] = [x,y,z]",
+    "-1/2*[x,y] = 1/2*[y,x]",
+    "1/6*[x,y,[z,w]] = 1/6*[[x,y,z],w] + 1/6*[z,[x,y,w]]",
+    "[x,[y,_]] - [y,[x,_]] = [[x,y],_]",               # column-variable texts
+    "[x,y,_] + [y,x,_] = 0",
+    "1/6*[x,y,[z,_]] = 1/6*[z,[x,y,_]] + 1/6*[[x,y,z],_]",
+    "0 = [x,_] - [x,_]",
+    "[[x,y],z,_] = [x,[y,z],_]",
+)
+
+
+def _algebras():
+    rng = random.Random(RANDOM_ALGEBRA_SEED)
+    return ([A for A in full_catalog() if A.dim <= 4]
+            + [random_algebra(rng, dim, i) for dim in (1, 2, 3, 4) for i in range(2)])
+
+
+SMALL = _algebras()
+DIM3 = random_dim3_algebras(100, RANDOM_ALGEBRA_SEED)
+
+
+def _cases():
+    """(task, ast, label, report scale) for every builtin and edge text."""
+    out = []
+    for ident in BUILTIN_IDENTITIES.values():
+        out.append((("builtin", ident.id), ident.ast, ident.id, ident.report_scale))
+    for text in EDGE_TEXTS:
+        ast = parse_identity(text)
+        out.append((("dsl", text), ast, format_identity(ast), 1))
+    return out
+
+
+CASES = _cases()
+
+
+@lru_cache(maxsize=None)
+def _scanned(A, ast):
+    """The oracle's exhaustive scan, shared by the tests below."""
+    return oracle.violations(A, ast)
+
+
+def _mismatches(algebras, exhaustive):
+    bad = []
+    for A in algebras:
+        for task, ast, label, scale in CASES:
+            scanned = _scanned(A, ast) if exhaustive else None
+            want = oracle.check_ast(A, ast, label, scale=scale, exhaustive=exhaustive,
+                                    scanned=scanned)
+            if checker.run_check(A, task, exhaustive=exhaustive) != want:
+                bad.append(f"{label} on {A.name}")
+    return bad
+
+
+@pytest.mark.parametrize("exhaustive", [False, True], ids=["first", "exhaustive"])
+def test_reports_match_the_recursive_oracle_small_algebras(exhaustive):
+    assert _mismatches(SMALL, exhaustive) == []
+
+
+def test_reports_match_the_recursive_oracle_dim3_algebras():
+    # every algebra in first-violation mode; exhaustive scans on a quarter
+    # of them keep the run short
+    assert _mismatches(DIM3, False) == []
+    assert _mismatches(DIM3[::4], True) == []
+
+
+def test_m7_first_violation_matches_the_oracle():
+    # jacobi fails on m7; the staged scan must stop at the oracle's index
+    m7 = builtin("m7")
+    ident = BUILTIN_IDENTITIES["jacobi"]
+    assert check_builtin(m7, "jacobi") == oracle.check_ast(m7, ident.ast, "jacobi")
+
+
+def _ranges(total, fastest):
+    """Every chunk range of workers 2-4, the same ranges started mid-prefix,
+    and some ranges that end mid-prefix."""
+    out = set()
+    for workers in (2, 3, 4):
+        for start, stop in checker._chunk_bounds(total, workers):
+            out.add((start, stop))
+            for shift in (1, fastest // 2, fastest + 1):
+                if start + shift < stop:
+                    out.add((start + shift, stop))
+    out |= {(total // 3 + 1, 2 * total // 3 + 2), (1, total - 1), (0, total)}
+    return sorted((s, min(e, total)) for s, e in out if s < min(e, total))
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c[2] for c in CASES])
+def test_scan_matches_the_oracle_on_every_chunk_range(case):
+    task, ast, _, _ = case
+    resolved = checker._resolve_task(task)
+    algebras = [A for A in SMALL if A.name in ("so3", "nc3", "rand3-0", "rand4-1")]
+    for A in algebras:
+        bad = [v[0] for v in _scanned(A, ast)[0]]
+        total = substitution_count(A.dim, ast.multiplicities)
+        fastest = A.dim if ast.variables else 1
+        for start, stop in _ranges(total, fastest):
+            inside = [i for i in bad if start <= i < stop]
+            first = inside[0] if inside else None
+            assert checker._scan(A, resolved, start, stop, True) == (first, len(inside))
+            assert (checker._scan(A, resolved, start, stop, False)
+                    == (first, min(1, len(inside))))
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_pooled_reports_match_the_oracle(monkeypatch, workers):
+    monkeypatch.setattr(checker, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    dim4 = [A for A in SMALL if A.dim == 4]
+    for A in dim4:
+        for ident_id in ("glts-f", "ternary-derivation", "hidden-assoc-operator", "glts-d"):
+            ident = BUILTIN_IDENTITIES[ident_id]
+            for exhaustive in (False, True):
+                want = oracle.check_ast(A, ident.ast, ident_id, scale=ident.report_scale,
+                                        exhaustive=exhaustive, scanned=_scanned(A, ident.ast))
+                got = checker.run_check(A, ("builtin", ident_id), exhaustive=exhaustive,
+                                        workers=workers)
+                assert got == want
+    assert _InlinePool.sizes  # the pooled path ran
+
+
+def test_identity_without_variables_holds_once(tmp_path, capsys):
+    ident_file = tmp_path / "constant.txt"
+    ident_file.write_text("0 = 0\n", encoding="utf-8")
+    assert main(["check", "so3", "--dsl", str(ident_file), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert '"substitutions_checked": 1' in out and '"holds": true' in out

@@ -2,7 +2,9 @@
 
 ``yamaguti`` and ``sixfold_yamagutian`` contract a cached table of
 ``[e_i, e_j, .]``, and ``Operator`` products skip zero entries.  The oracles
-below are the textbook definitions, written without either shortcut.
+below are the textbook definitions, written without either shortcut.  The
+partial maps ``[x,.]`` and ``[x,y,.]`` the staged scan applies are checked
+against ``bracket``, ``yamaguti`` and the operator primitives.
 """
 import pickle
 import random
@@ -13,6 +15,7 @@ import pytest
 from maltsev import Algebra, Operator, Vector, bracket, builtin, left_translation
 from maltsev import sixfold_yamagutian, substitution_options, yamaguti
 from maltsev.catalog import full_catalog
+from maltsev.core import PartialMap
 
 from .support import RANDOM_ALGEBRA_SEED, RANDOM_VECTOR_SEED, random_algebra, random_vector
 
@@ -135,3 +138,46 @@ def test_zero_algebra_tables_are_empty():
     x, y, z = (A.basis_vector(k) for k in range(3))
     assert yamaguti(A, x + y, y, z).is_zero()
     assert sixfold_yamagutian(A, x + z, y).is_zero()
+
+
+def _random_fraction_algebras():
+    rng = random.Random(RANDOM_ALGEBRA_SEED + 1)
+    return [random_algebra(rng, dim, i) for dim in range(1, 6) for i in range(2)]
+
+
+@pytest.mark.parametrize("A", _random_fraction_algebras(), ids=lambda A: A.name)
+def test_partial_maps_match_the_primitives(A):
+    rng = random.Random(RANDOM_VECTOR_SEED)
+    vs = [random_vector(rng, A.dim) for _ in range(4)] + substitution_options(A.dim, 2)
+    for x, y in rng.sample(list(product(vs, repeat=2)), min(len(vs) ** 2, 30)):
+        binary, ternary = PartialMap(A, x), PartialMap(A, x, y)
+        for z in rng.sample(vs, min(len(vs), 6)) + [Vector.zero(A.dim)]:
+            assert binary.apply(z) == bracket(A, x, z)
+            assert ternary.apply(z) == yamaguti(A, x, y, z)
+
+
+def _computed(partial):
+    return [l for l, col in enumerate(partial._cols) if col is not None]
+
+
+@pytest.mark.parametrize("A", _random_fraction_algebras(), ids=lambda A: A.name)
+def test_partial_map_columns_are_lazy_and_complete(A):
+    rng = random.Random(RANDOM_VECTOR_SEED)
+    x, y = random_vector(rng, A.dim), random_vector(rng, A.dim)
+    binary, ternary = PartialMap(A, x), PartialMap(A, x, y)
+    assert _computed(binary) == _computed(ternary) == []
+    assert ternary._pairs is None  # no pair is contracted before a column is needed
+    e = [A.basis_vector(l) for l in range(A.dim)]
+    binary.apply(Vector.zero(A.dim))
+    ternary.apply(Vector.zero(A.dim))
+    assert _computed(binary) == _computed(ternary) == []
+    last = A.dim - 1
+    for partial in (binary, ternary):
+        partial.apply(3 * e[last])
+        assert _computed(partial) == [last]
+        partial.apply(e[0] + e[last])
+        assert _computed(partial) == sorted({0, last})
+    columns = [(binary.apply(v).coords, ternary.apply(v).coords) for v in e]
+    assert _computed(binary) == _computed(ternary) == list(range(A.dim))
+    assert Operator(zip(*(c[0] for c in columns))) == left_translation(A, x)
+    assert Operator(zip(*(c[1] for c in columns))) == sixfold_yamagutian(A, x, y)
