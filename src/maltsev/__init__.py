@@ -28,7 +28,6 @@ from .core import (
     DimensionMismatch,
     Operator,
     Scalar,
-    ValidationReport,
     Vector,
     bracket,
     format_rational,
@@ -37,7 +36,6 @@ from .core import (
     operator_commutator,
     parse_rational,
     sixfold_yamagutian,
-    validate,
     yamagutian,
     yamaguti,
 )
@@ -77,7 +75,6 @@ __all__ = [
     "Operator",
     "Scalar",
     "UnknownIdentityError",
-    "ValidationReport",
     "Vector",
     "bracket",
     "builtin",
@@ -102,7 +99,6 @@ __all__ = [
     "substitution_count",
     "substitution_options",
     "substitution_stream",
-    "validate",
     "yamagutian",
     "yamaguti",
 ]

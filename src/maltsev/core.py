@@ -7,7 +7,7 @@ Only the pairs ``i < j`` are stored, so antisymmetry holds by construction.
 On top of the binary bracket the module derives
 
 * the ternary bracket ``[x,y,z] = [x,[y,z]] - [y,[x,z]] + [[x,y],z]``,
-* the left translation ``l+_x : y -> [x,y]`` as a matrix,
+* the left translation ``l+_x : y -> [x,y]`` as an operator,
 * the operator ``Y(x;y) = (1/6)([l+_x, l+_y] + l+_[x,y])``, which acts as
   ``(1/6)[x,y,.]`` on any algebra (this is an identity of the definitions,
   not a property of the algebra).
@@ -22,9 +22,14 @@ pairs are never stored.  ``yamaguti`` is then a trilinear and
 values of the definitions above.  The table is sparse and keeps only
 nonzero entries: a fully filled one holds at most ``dim**3 * (dim - 1) / 2``
 scalars, O(dim^4), and an algebra whose ternary brackets are never asked for
-holds nothing.  A :class:`PartialMap` ``[x,y,.]`` contracts the same table
-with a fixed ``x`` and ``y``, one column at a time, for the identity
-checker's staged scan.
+holds nothing.
+
+An :class:`Operator` is stored by columns.  ``left_translation`` and
+``sixfold_yamagutian`` return operators that compute column l, ``[x, e_l]``
+from the structure constants or ``[x, y, e_l]`` from the table, the first
+time it is needed, so an operator applied to one vector costs about one
+``bracket`` or ``yamaguti`` call.  Application and composition share one
+kernel: column l of ``P @ Q`` is ``P`` applied to column l of ``Q``.
 
 All values are immutable after construction and all operations are pure;
 scalars are Python ints or ``fractions.Fraction`` (always in lowest terms),
@@ -33,8 +38,8 @@ so equality is exact and no tolerances appear anywhere.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
 from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Mapping
@@ -159,9 +164,15 @@ class Vector:
 
 
 class Operator:
-    """Immutable exact square matrix, acting on vectors from the left."""
+    """Immutable exact square matrix, acting on vectors from the left.
 
-    __slots__ = ("rows",)
+    The matrix is stored by columns.  An operator built by
+    :func:`left_translation` or :func:`sixfold_yamagutian` computes column l
+    the first time it is needed and keeps it; every other operator is
+    stored in full.  Filling columns changes no value.
+    """
+
+    __slots__ = ("_cols", "_terms")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]):
         rows = tuple(tuple(r) for r in rows)
@@ -173,36 +184,88 @@ class Operator:
                 raise ValueError(f"operator rows must have length {n}, got {len(r)}")
             for c in r:
                 _check_scalar(c)
-        self.rows = rows
+        self._cols = list(zip(*rows))
+        self._terms = None
 
     @classmethod
-    def _raw(cls, rows: tuple[tuple[Scalar, ...], ...]) -> Operator:
+    def _raw(cls, cols: list[tuple[Scalar, ...]]) -> Operator:
         p = object.__new__(cls)
-        p.rows = rows
+        p._cols = cols
+        p._terms = None
+        return p
+
+    @classmethod
+    def _lazy(cls, dim: int, terms) -> Operator:
+        """An operator whose column l, filled on first use, is the sum of
+        ``s * table[l]`` over the pairs ``(s, table)`` of ``terms``.
+
+        Each ``table[l]`` is a sparse ``((k, c), ...)`` column.  ``terms``
+        may be a callable that returns the pairs; it runs on the first fill.
+        """
+        p = object.__new__(cls)
+        p._cols = [None] * dim
+        p._terms = terms
         return p
 
     @classmethod
     def zero(cls, dim: int) -> Operator:
         if dim < 1:
             raise ValueError("dimension must be positive")
-        return cls._raw(tuple((0,) * dim for _ in range(dim)))
+        return cls._raw([(0,) * dim] * dim)
 
     @classmethod
     def identity(cls, dim: int) -> Operator:
         if dim < 1:
             raise ValueError("dimension must be positive")
-        return cls._raw(tuple(tuple(1 if i == j else 0 for j in range(dim))
-                              for i in range(dim)))
+        return cls._raw([tuple(1 if i == j else 0 for i in range(dim))
+                         for j in range(dim)])
+
+    def _fill(self, l: int) -> tuple[Scalar, ...]:
+        terms = self._terms
+        if callable(terms):
+            terms = self._terms = terms()
+        acc = [0] * len(self._cols)
+        for s, table in terms:
+            for k, c in table[l]:
+                acc[k] += s * c
+        col = self._cols[l] = tuple(acc)
+        return col
+
+    def _columns(self) -> list[tuple[Scalar, ...]]:
+        """Every column, filling the missing ones."""
+        cols = self._cols
+        if self._terms is not None:
+            for l, col in enumerate(cols):
+                if col is None:
+                    self._fill(l)
+            self._terms = None
+        return cols
+
+    def _image(self, coords: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
+        """The coordinates of ``sum_l coords[l] * column l``."""
+        cols = self._cols
+        out = None
+        for l, c in enumerate(coords):
+            if c:
+                col = cols[l] or self._fill(l)
+                if c != 1:
+                    col = map(mul, repeat(c), col)
+                out = col if out is None else map(add, out, col)
+        return (0,) * len(cols) if out is None else tuple(out)
+
+    @property
+    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
+        return tuple(zip(*self._columns()))
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._cols)
 
     def is_zero(self) -> bool:
-        return not any(any(r) for r in self.rows)
+        return not any(map(any, self._columns()))
 
     def _require_same_dim(self, other: Operator, what: str) -> None:
-        if len(self.rows) != len(other.rows):
+        if len(self._cols) != len(other._cols):
             raise DimensionMismatch(
                 f"{what}: operator dims {self.dim} and {other.dim} differ")
 
@@ -210,54 +273,39 @@ class Operator:
         if not isinstance(other, Operator):
             return NotImplemented
         self._require_same_dim(other, "operator addition")
-        return Operator._raw(tuple(tuple(a + b for a, b in zip(ra, rb))
-                                   for ra, rb in zip(self.rows, other.rows)))
+        return Operator._raw([tuple(map(add, a, b))
+                              for a, b in zip(self._columns(), other._columns())])
 
     def __sub__(self, other: Operator) -> Operator:
         if not isinstance(other, Operator):
             return NotImplemented
         self._require_same_dim(other, "operator subtraction")
-        return Operator._raw(tuple(tuple(a - b for a, b in zip(ra, rb))
-                                   for ra, rb in zip(self.rows, other.rows)))
+        return Operator._raw([tuple(map(sub, a, b))
+                              for a, b in zip(self._columns(), other._columns())])
 
     def __neg__(self) -> Operator:
-        return Operator._raw(tuple(tuple(-a for a in r) for r in self.rows))
+        return Operator._raw([tuple(map(neg, a)) for a in self._columns()])
 
     def __matmul__(self, other: Operator) -> Operator:
         if not isinstance(other, Operator):
             return NotImplemented
         self._require_same_dim(other, "operator composition")
-        n = len(self.rows)
-        sparse = [[(c, b) for c, b in enumerate(r) if b] for r in other.rows]
-        out = []
-        for row in self.rows:
-            acc = [0] * n
-            for a, srow in zip(row, sparse):
-                if a:
-                    for c, b in srow:
-                        acc[c] += a * b
-            out.append(tuple(acc))
-        return Operator._raw(tuple(out))
+        return Operator._raw([self._image(col) for col in other._columns()])
 
     def __rmul__(self, c: Scalar) -> Operator:
         _check_scalar(c)
-        return Operator._raw(tuple(tuple(c * a for a in r) for r in self.rows))
+        return Operator._raw([tuple(map(mul, repeat(c), a)) for a in self._columns()])
 
     def apply(self, v: Vector) -> Vector:
-        rows = self.rows
-        if len(v.coords) != len(rows):
+        if len(v.coords) != len(self._cols):
             raise DimensionMismatch(
                 f"operator application: operator dim {self.dim}, vector dim {v.dim}")
-        acc = [0] * len(rows)
-        for k, b in enumerate(v.coords):
-            if b:
-                acc = [s + row[k] * b for s, row in zip(acc, rows)]
-        return Vector._raw(tuple(acc))
+        return Vector._raw(self._image(v.coords))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Operator):
             return NotImplemented
-        return self.rows == other.rows
+        return self._columns() == other._columns()
 
     def __hash__(self) -> int:
         return hash(self.rows)
@@ -405,64 +453,6 @@ def _pair_columns(A, x, y):
     return out
 
 
-class PartialMap:
-    """``[a, .]`` or ``[a, b, .]`` on one algebra, with lazily filled columns.
-
-    Column l is ``[a, e_l]`` (from the structure constants) or ``[a, b, e_l]``
-    (a contraction of the ternary table).  It is computed the first time
-    :meth:`apply` meets a vector with a nonzero l-th coordinate and kept
-    until the map is dropped, so a map applied once costs about one
-    ``bracket`` or ``yamaguti`` call.  ``apply(v)`` equals
-    ``bracket(A, a, v)`` or ``yamaguti(A, a, b, v)`` exactly.
-    """
-
-    __slots__ = ("_A", "_a", "_b", "_pairs", "_cols")
-
-    def __init__(self, A: Algebra, a: Vector, b: Vector | None = None):
-        dim = len(A.basis)
-        if len(a.coords) != dim:
-            _require_dim(A, "partial map", a=a)
-        if b is not None and len(b.coords) != dim:
-            _require_dim(A, "partial map", b=b)
-        self._A = A
-        self._a = a
-        self._b = b
-        self._pairs = None  # _pair_columns(A, a, b), on the first ternary column
-        self._cols: list = [None] * dim
-
-    def _column(self, l: int) -> Vector:
-        acc = [0] * len(self._cols)
-        if self._b is None:
-            rows = self._A._rows
-            for i, ai in enumerate(self._a.coords):
-                if ai:
-                    for k, c in rows[i][l]:
-                        acc[k] += ai * c
-        else:
-            pairs = self._pairs
-            if pairs is None:
-                pairs = self._pairs = _pair_columns(self._A, self._a, self._b)
-            for s, cols in pairs:
-                for k, c in cols[l]:
-                    acc[k] += s * c
-        col = self._cols[l] = Vector._raw(tuple(acc))
-        return col
-
-    def apply(self, v: Vector) -> Vector:
-        coords, cols = v.coords, self._cols
-        if len(coords) != len(cols):
-            raise DimensionMismatch(
-                f"partial map application: map dim {len(cols)}, vector dim {v.dim}")
-        out = None
-        for l, c in enumerate(coords):
-            if c:
-                col = (cols[l] or self._column(l)).coords
-                if c != 1:
-                    col = map(mul, repeat(c), col)
-                out = col if out is None else map(add, out, col)
-        return Vector.zero(len(cols)) if out is None else Vector._raw(tuple(out))
-
-
 def _require_dim(A: Algebra, what: str, **vectors: Vector) -> None:
     for label, v in vectors.items():
         if v.dim != A.dim:
@@ -511,36 +501,25 @@ def yamaguti(A: Algebra, x: Vector, y: Vector, z: Vector) -> Vector:
 
 
 def left_translation(A: Algebra, x: Vector) -> Operator:
-    """Matrix of ``y -> [x, y]``; column k is ``[x, e_k]``."""
+    """Matrix of ``y -> [x, y]``; column l is ``[x, e_l]``, filled on first use."""
     dim = len(A.basis)
     if len(x.coords) != dim:
         _require_dim(A, "left_translation", x=x)
-    acc = [[0] * dim for _ in range(dim)]
     rows = A._rows
-    for i, xi in enumerate(x.coords):
-        if xi:
-            for l, entries in enumerate(rows[i]):
-                for k, c in entries:
-                    acc[k][l] += xi * c
-    return Operator._raw(tuple(map(tuple, acc)))
+    return Operator._lazy(dim, [(xi, rows[i]) for i, xi in enumerate(x.coords) if xi])
 
 
 def sixfold_yamagutian(A: Algebra, x: Vector, y: Vector) -> Operator:
     """``[l+_x, l+_y] + l+_[x,y]``, i.e. six times the Yamagutian.
 
-    Column l is ``[x, y, e_l]``.  Kept separate because it is integer-valued
-    whenever the structure constants are, which the identity checker
-    exploits.
+    Column l is ``[x, y, e_l]``, filled on first use.  Kept separate because
+    it is integer-valued whenever the structure constants are, which the
+    identity checker exploits.
     """
     dim = len(A.basis)
     if not len(x.coords) == len(y.coords) == dim:
         _require_dim(A, "sixfold_yamagutian", x=x, y=y)
-    acc = [[0] * dim for _ in range(dim)]
-    for s, cols in _pair_columns(A, x, y):
-        for l, col in enumerate(cols):
-            for k, c in col:
-                acc[k][l] += s * c
-    return Operator._raw(tuple(map(tuple, acc)))
+    return Operator._lazy(dim, partial(_pair_columns, A, x, y))
 
 
 def yamagutian(A: Algebra, x: Vector, y: Vector) -> Operator:
@@ -558,46 +537,6 @@ def operator_commutator(P: Operator, Q: Operator) -> Operator:
         raise DimensionMismatch(
             f"operator commutator: dims {P.dim} and {Q.dim} differ")
     return P @ Q - Q @ P
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    algebra: str
-    violations: tuple[str, ...]
-
-    @property
-    def valid(self) -> bool:
-        return not self.violations
-
-
-def validate(A: Algebra) -> ValidationReport:
-    """Re-audit an algebra instance: table shape, lengths, scalar canonicality.
-
-    Constructed instances always pass; this guards against states reached by
-    poking at internals (and documents exactly what the invariants are).
-    """
-    violations = []
-    dim = len(A.basis)
-    if dim < 1:
-        violations.append("basis: must be non-empty")
-    if len(set(A.basis)) != dim:
-        violations.append(f"basis: labels not distinct: {A.basis!r}")
-    for key, v in sorted(A._pairs.items()):
-        i, j = key
-        loc = f"constants[{i}][{j}]"
-        if not (0 <= i < j < dim):
-            violations.append(f"{loc}: key must satisfy 0 <= i < j < {dim}")
-        if not isinstance(v, Vector):
-            violations.append(f"{loc}: not a Vector: {v!r}")
-            continue
-        if len(v.coords) != dim:
-            violations.append(f"{loc}: coords length {len(v.coords)} != dim {dim}")
-        for k, c in enumerate(v.coords):
-            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-                violations.append(f"{loc}[{k}]: not an exact scalar: {c!r}")
-            elif isinstance(c, Fraction) and c.denominator <= 0:
-                violations.append(f"{loc}[{k}]: non-canonical denominator in {c!r}")
-    return ValidationReport(algebra=A.name, violations=tuple(violations))
 
 
 def format_vector(A: Algebra, v: Vector) -> str:

@@ -35,10 +35,10 @@ substituted variables first, in ``variables`` order, then one register per
 distinct subterm.  Each step has the level of the fastest-varying variable
 it depends on, so a scan of the substitution stream reruns a step only
 when one of its own variables changes.  A bracket whose last argument
-varies faster than the others is split into a partial map ``[a,.]`` or
-``[a,b,.]``, built when ``a`` or ``b`` change, and an ``apply`` of it to
-the last argument; the map fills its columns ``[a,e_l]``/``[a,b,e_l]`` on
-first use.  The arithmetic is exact, so every value, count and first
+varies faster than the others is split into the operator ``l+_a`` or
+``6Y(a;b)``, built when ``a`` or ``b`` change, and an ``apply`` of it to
+the last argument; the operator fills its columns ``[a,e_l]``/``[a,b,e_l]``
+on first use.  The arithmetic is exact, so every value, count and first
 counterexample equals that of evaluating each substitution afresh.
 Builtin and user identities are checked through that one program.
 """
@@ -55,7 +55,6 @@ from .core import (
     Algebra,
     DimensionMismatch,
     Operator,
-    PartialMap,
     Scalar,
     Vector,
     bracket,
@@ -377,14 +376,6 @@ def _yamaguti_step(i, j, k):
     return lambda A, r: yamaguti(A, r[i], r[j], r[k])
 
 
-def _bracket_partial_step(i):
-    return lambda A, r: PartialMap(A, r[i])
-
-
-def _yamaguti_partial_step(i, j):
-    return lambda A, r: PartialMap(A, r[i], r[j])
-
-
 def _apply_step(i, j):
     return lambda A, r: r[i].apply(r[j])
 
@@ -444,12 +435,13 @@ class Program:
         self.runs = tuple(tuple(s for s in steps if k <= levels[s[0]] < nvars)
                           for k in range(nvars + 1))
         self.inner = tuple(s for s in steps if levels[s[0]] == nvars)
-        self.steps = tuple(steps)
 
     def evaluate(self, A: Algebra, args: Sequence[Vector]) -> tuple[Value, Value]:
         """Both sides at one substitution (vectors in ``variables`` order)."""
         r = [*args, *[None] * (self.size - len(args))]
-        for out, step in self.steps:
+        # a step's level is at least its operands', so no step of runs[0]
+        # uses one of inner
+        for out, step in (*self.runs[0], *self.inner):
             r[out] = step(A, r)
         return r[self.lhs], r[self.rhs]
 
@@ -509,9 +501,9 @@ def _compile(ast: IdentityAst) -> Program:
     """Compile both sides into one staged program.
 
     A bracket on vectors whose last argument has a higher level than the
-    others is split into a :class:`~maltsev.core.PartialMap` ``[a,.]`` or
-    ``[a,b,.]``, built at the level of ``a`` and ``b``, and its ``apply`` at
-    the level of the last argument; the map's columns then serve every
+    others is split into the operator ``l+_a`` or ``6Y(a;b)``, built at the
+    level of ``a`` and ``b``, and its ``apply`` at the level of the last
+    argument; the operator's columns, filled on first use, then serve every
     value the last argument takes before ``a`` or ``b`` change.
     """
     nvars = len(ast.variables)
@@ -557,8 +549,7 @@ def _compile(ast: IdentityAst) -> Program:
         if is_operator:
             return emit(_compose_step, (emit(linear, front), reg)), True
         if levels[reg] > max(levels[i] for i in front):
-            partial = _bracket_partial_step if len(front) == 1 else _yamaguti_partial_step
-            return emit(_apply_step, (emit(partial, front), reg)), False
+            return emit(_apply_step, (emit(linear, front), reg)), False
         return emit(_bracket_step if len(front) == 1 else _yamaguti_step, (*front, reg)), False
 
     zero = Operator if ast.level == "operator" else Vector

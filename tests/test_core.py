@@ -19,7 +19,6 @@ from maltsev import (
     operator_commutator,
     parse_rational,
     sixfold_yamagutian,
-    validate,
     yamagutian,
     yamaguti,
 )
@@ -236,30 +235,6 @@ def test_operator_commutator_jacobi_sanity(m7):
 def test_operator_commutator_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         operator_commutator(Operator.identity(2), Operator.identity(3))
-
-
-# ------------------------------------------------------------- validation
-
-def test_validate_catalog_entries():
-    for A in full_catalog():
-        report = validate(A)
-        assert report.valid
-        assert report.violations == ()
-
-
-def test_validate_reports_corrupted_coords(so3):
-    A = Algebra("broken", ("e1", "e2", "e3"), {(0, 1): (0, 0, 1)})
-    A._pairs[(0, 1)] = Vector._raw((1, 0))  # bypass the constructor
-    report = validate(A)
-    assert not report.valid
-    assert any("constants[0][1]" in v and "length 2" in v for v in report.violations)
-
-
-def test_validate_reports_bad_scalar():
-    A = Algebra("broken", ("e1", "e2"), {(0, 1): (1, 0)})
-    A._pairs[(0, 1)] = Vector._raw((0.5, 0))
-    report = validate(A)
-    assert any("not an exact scalar" in v for v in report.violations)
 
 
 def test_algebra_constructor_rejects_bad_input():

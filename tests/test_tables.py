@@ -1,13 +1,15 @@
 """The table-backed primitives against their definitions.
 
 ``yamaguti`` and ``sixfold_yamagutian`` contract a cached table of
-``[e_i, e_j, .]``, and ``Operator`` products skip zero entries.  The oracles
-below are the textbook definitions, written without either shortcut.  The
-partial maps ``[x,.]`` and ``[x,y,.]`` the staged scan applies are checked
-against ``bracket``, ``yamaguti`` and the operator primitives.
+``[e_i, e_j, .]``, and an ``Operator`` is stored by columns, which
+``left_translation`` and ``sixfold_yamagutian`` fill on first use.  The
+oracles below are the textbook definitions, written row by row and without
+either shortcut.  The operators ``[x,.]`` and ``[x,y,.]`` the staged scan
+applies are checked against ``bracket``, ``yamaguti`` and the definitions.
 """
 import pickle
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -15,7 +17,6 @@ import pytest
 from maltsev import Algebra, Operator, Vector, bracket, builtin, left_translation
 from maltsev import sixfold_yamagutian, substitution_options, yamaguti
 from maltsev.catalog import full_catalog
-from maltsev.core import PartialMap
 
 from .support import RANDOM_ALGEBRA_SEED, RANDOM_VECTOR_SEED, random_algebra, random_vector
 
@@ -85,22 +86,41 @@ def test_sixfold_yamagutian_matches_definition(A):
         assert Y6.apply(z) == oracle_apply(Y6, z) == yamaguti(A, x, y, z)
 
 
-def _random_operator(rng, n):
+def _random_rows(rng, n):
     # about half the entries are zero, so the sparse paths are exercised
-    return Operator([[random_vector(rng, 1).coords[0] if rng.random() < 0.5 else 0
-                      for _ in range(n)] for _ in range(n)])
+    return tuple(tuple(random_vector(rng, 1).coords[0] if rng.random() < 0.5 else 0
+                       for _ in range(n)) for _ in range(n))
+
+
+def _rowwise(f, P, Q):
+    return Operator([[f(a, b) for a, b in zip(rp, rq)] for rp, rq in zip(P.rows, Q.rows)])
+
+
+def _check_against_row_oracles(make, expected, vectors, c):
+    """``make(k)`` returns operator k, a fresh one if it is lazy; ``expected[k]``
+    is its row form."""
+    for (i, P), (j, Q) in product(enumerate(expected), repeat=2):
+        assert make(i) @ make(j) == oracle_matmul(P, Q)
+        assert make(i) + make(j) == _rowwise(lambda a, b: a + b, P, Q)
+        assert make(i) - make(j) == _rowwise(lambda a, b: a - b, P, Q)
+    for i, P in enumerate(expected):
+        assert c * make(i) == Operator([[c * a for a in r] for r in P.rows])
+        assert -make(i) == Operator([[-a for a in r] for r in P.rows])
+        op = make(i)
+        for v in vectors:
+            assert op.apply(v) == oracle_apply(P, v)
+        assert op == P and hash(op) == hash(P)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
 def test_operator_product_and_apply_match_definition(n):
     rng = random.Random(RANDOM_VECTOR_SEED + n)
-    ops = [_random_operator(rng, n) for _ in range(6)]
+    rows = [_random_rows(rng, n) for _ in range(6)]
+    ops = [Operator(r) for r in rows]
+    assert [P.rows for P in ops] == rows
     ops += [Operator.zero(n), Operator.identity(n)]
     vectors = [random_vector(rng, n), Vector.zero(n)] + substitution_options(n, 2)
-    for P, Q in product(ops, repeat=2):
-        assert P @ Q == oracle_matmul(P, Q)
-    for P, v in product(ops, vectors):
-        assert P.apply(v) == oracle_apply(P, v)
+    _check_against_row_oracles(ops.__getitem__, ops, vectors, random_vector(rng, 1).coords[0])
 
 
 @pytest.mark.parametrize("A", ALGEBRAS, ids=lambda A: A.name)
@@ -150,34 +170,71 @@ def test_partial_maps_match_the_primitives(A):
     rng = random.Random(RANDOM_VECTOR_SEED)
     vs = [random_vector(rng, A.dim) for _ in range(4)] + substitution_options(A.dim, 2)
     for x, y in rng.sample(list(product(vs, repeat=2)), min(len(vs) ** 2, 30)):
-        binary, ternary = PartialMap(A, x), PartialMap(A, x, y)
+        binary, ternary = left_translation(A, x), sixfold_yamagutian(A, x, y)
         for z in rng.sample(vs, min(len(vs), 6)) + [Vector.zero(A.dim)]:
             assert binary.apply(z) == bracket(A, x, z)
             assert ternary.apply(z) == yamaguti(A, x, y, z)
 
 
-def _computed(partial):
-    return [l for l, col in enumerate(partial._cols) if col is not None]
+def _computed(op):
+    return [l for l, col in enumerate(op._cols) if col is not None]
 
 
 @pytest.mark.parametrize("A", _random_fraction_algebras(), ids=lambda A: A.name)
 def test_partial_map_columns_are_lazy_and_complete(A):
+    A = pickle.loads(pickle.dumps(A))  # an empty ternary table
     rng = random.Random(RANDOM_VECTOR_SEED)
     x, y = random_vector(rng, A.dim), random_vector(rng, A.dim)
-    binary, ternary = PartialMap(A, x), PartialMap(A, x, y)
+    binary, ternary = left_translation(A, x), sixfold_yamagutian(A, x, y)
     assert _computed(binary) == _computed(ternary) == []
-    assert ternary._pairs is None  # no pair is contracted before a column is needed
     e = [A.basis_vector(l) for l in range(A.dim)]
     binary.apply(Vector.zero(A.dim))
     ternary.apply(Vector.zero(A.dim))
     assert _computed(binary) == _computed(ternary) == []
+    # no pair is contracted before a column is needed
+    assert callable(ternary._terms) and A._ternary is None
     last = A.dim - 1
-    for partial in (binary, ternary):
-        partial.apply(3 * e[last])
-        assert _computed(partial) == [last]
-        partial.apply(e[0] + e[last])
-        assert _computed(partial) == sorted({0, last})
+    for op in (binary, ternary):
+        op.apply(3 * e[last])
+        assert _computed(op) == [last]
+        op.apply(e[0] + e[last])
+        assert _computed(op) == sorted({0, last})
+    assert not callable(ternary._terms)
     columns = [(binary.apply(v).coords, ternary.apply(v).coords) for v in e]
     assert _computed(binary) == _computed(ternary) == list(range(A.dim))
-    assert Operator(zip(*(c[0] for c in columns))) == left_translation(A, x)
-    assert Operator(zip(*(c[1] for c in columns))) == sixfold_yamagutian(A, x, y)
+    assert Operator(zip(*(c[0] for c in columns))) == oracle_left_translation(A, x)
+    assert Operator(zip(*(c[1] for c in columns))) == oracle_sixfold(A, x, y)
+
+
+@pytest.mark.parametrize("A", _random_fraction_algebras(), ids=lambda A: A.name)
+def test_lazy_operators_match_the_row_oracles(A):
+    rng = random.Random(RANDOM_VECTOR_SEED)
+    x, y, z = (random_vector(rng, A.dim) for _ in range(3))
+    e = [A.basis_vector(l) for l in range(A.dim)]
+
+    def make(k):
+        # operator k, with one column filled for k >= 2
+        op = (left_translation(A, x), sixfold_yamagutian(A, x, y),
+              left_translation(A, z), sixfold_yamagutian(A, z, x))[k]
+        if k >= 2:
+            op.apply(e[-1])
+        return op
+
+    expected = [oracle_left_translation(A, x), oracle_sixfold(A, x, y),
+                oracle_left_translation(A, z), oracle_sixfold(A, z, x)]
+    vectors = [x, Vector.zero(A.dim)] + substitution_options(A.dim, 2)
+    _check_against_row_oracles(make, expected, vectors, Fraction(-3, 7))
+
+
+@pytest.mark.parametrize("A", _random_fraction_algebras(), ids=lambda A: A.name)
+def test_partly_filled_operator_pickles_to_an_equal_one(A):
+    rng = random.Random(RANDOM_VECTOR_SEED)
+    x, y = random_vector(rng, A.dim), random_vector(rng, A.dim)
+    for op, expected in ((left_translation(A, x), oracle_left_translation(A, x)),
+                         (sixfold_yamagutian(A, x, y), oracle_sixfold(A, x, y))):
+        op.apply(A.basis_vector(0))
+        assert _computed(op) == [0]
+        copy = pickle.loads(pickle.dumps(op))
+        assert _computed(copy) == list(range(A.dim))
+        assert copy == expected and hash(copy) == hash(expected)
+        assert copy == op and copy.rows == op.rows
