@@ -156,7 +156,7 @@ def validate_algebra_data(data: object) -> list[str]:
             bad.append(f"{loc}: expected an object")
             continue
         i, j = entry.get("i"), entry.get("j")
-        if not isinstance(i, int) or not isinstance(j, int):
+        if type(i) is not int or type(j) is not int:  # bools are not indices
             bad.append(f"{loc}: i and j must be integers")
             continue
         if not (0 <= i < dim and 0 <= j < dim):
@@ -174,11 +174,10 @@ def validate_algebra_data(data: object) -> list[str]:
             continue
         for key, text in result.items():
             kloc = f"{loc}.result[{key!r}]"
-            try:
-                k = int(key)
-            except (TypeError, ValueError):
+            if not (isinstance(key, str) and re.fullmatch(r"0|-?[1-9][0-9]*", key)):
                 bad.append(f"{kloc}: key is not a basis index")
                 continue
+            k = int(key)
             if not 0 <= k < dim:
                 bad.append(f"{kloc}: index {k} out of range for dim {dim}")
             if not isinstance(text, str):
@@ -205,12 +204,22 @@ def data_to_algebra(data: dict, *, source: str = "<data>") -> Algebra:
     return Algebra(data["name"], tuple(data["basis"]), brackets)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``json.loads`` hook: refuse an object that repeats a key (JSON keeps the last)."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"duplicate key {key!r}")
+        data[key] = value
+    return data
+
+
 def load_algebra(path: str | Path) -> Algebra:
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # a JSONDecodeError or a repeated key
         raise AlgebraFileError(f"{path}: invalid JSON: {exc}") from None
     return data_to_algebra(data, source=str(path))
 

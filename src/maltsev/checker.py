@@ -7,6 +7,10 @@ option lists over all variables is the substitution stream.  A check holds
 iff both sides agree exactly on every substitution; the reported
 counterexample is always the first one in stream order, independent of the
 worker count.
+
+:func:`run_check` takes a parsed identity and scans with its compiled
+program, which hands back the first violating substitution for the report;
+pool workers receive the identity as text and parse it once each.
 """
 from __future__ import annotations
 
@@ -14,16 +18,12 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, islice, product
-from typing import Iterator, Sequence
+from itertools import combinations, product
+from typing import Callable, Iterator, Sequence
 
 from . import dsl
-from .core import Algebra, Operator, Vector, format_rational
+from .core import Algebra, Operator, Scalar, Vector, format_rational
 from .identities import BUILTIN_IDENTITIES, GLTS_AXIOM_IDS
-
-# A task names what is being checked in a picklable way so that worker
-# processes can re-resolve it: ("builtin", id) or ("dsl", identity text).
-Task = tuple[str, str]
 
 _PARALLEL_MIN = 256  # below this many substitutions, workers are pure overhead
 _CHUNKS_PER_WORKER = 8
@@ -119,70 +119,19 @@ class EquivalenceReport:
         return self.maltsev.holds == self.sagle_yamaguti.holds
 
 
-def _resolve_task(task: Task):
-    """Return (label, ast, evaluate, report_scale).
-
-    ``ast.plan`` scans the stream; ``evaluate`` re-evaluates the first
-    counterexample for the report.
-    """
-    kind, payload = task
-    if kind == "builtin":
-        try:
-            ident = BUILTIN_IDENTITIES[payload]
-        except KeyError:
-            raise UnknownIdentityError(
-                f"unknown identity {payload!r}; known: {', '.join(BUILTIN_IDENTITIES)}"
-            ) from None
-        return ident.id, ident.ast, ident.evaluate, ident.report_scale
-    if kind == "dsl":
-        ast = dsl.parse_identity(payload)
-
-        def evaluate(A, args):
-            return dsl.eval_ast(A, ast, dict(zip(ast.variables, args)))
-
-        return dsl.format_identity(ast), ast, evaluate, 1
-    raise ValueError(f"unknown task kind {kind!r}")
+_worker: tuple = ()  # (algebra, compiled program, option lists), set by _init_worker
 
 
-# The pool's workers resolve their task once, in _init_worker.
-_worker: tuple = ()
-
-
-def _init_worker(A: Algebra, task: Task) -> None:
+def _init_worker(A: Algebra, text: str) -> None:
     global _worker
-    _worker = (A, _resolve_task(task))
+    ast = dsl.parse_identity(text)
+    _worker = (A, ast.plan, [substitution_options(A.dim, m) for m in ast.multiplicities])
 
 
-def _scan_chunk(start: int, stop: int, exhaustive: bool) -> tuple[int | None, int]:
-    """Pool entry point: :func:`_scan` with the worker's algebra and task."""
-    return _scan(*_worker, start, stop, exhaustive)
-
-
-def _scan(A: Algebra, resolved, start: int, stop: int,
-          exhaustive: bool) -> tuple[int | None, int]:
-    """Scan substitutions [start, stop); return (first violating index, count)."""
-    ast = resolved[1]
-    options = [substitution_options(A.dim, m) for m in ast.multiplicities]
-    return ast.plan.scan(A, options, start, stop, exhaustive)
-
-
-def _report_for(A: Algebra, resolved, first: int | None, nviol: int,
-                total: int, exhaustive: bool) -> CheckReport:
-    label, ast, evaluate, report_scale = resolved
-    if first is None:
-        return CheckReport(identity=label, algebra=A.name, holds=True,
-                           substitutions_checked=total,
-                           violations=0 if exhaustive else None)
-    args = next(islice(substitution_stream(A.dim, ast.multiplicities), first, None))
-    lhs, rhs = evaluate(A, args)
-    if report_scale != 1:
-        lhs = report_scale * lhs
-        rhs = report_scale * rhs
-    ce = Counterexample(substitution=tuple(zip(ast.variables, args)), left=lhs, right=rhs)
-    return CheckReport(identity=label, algebra=A.name, holds=False,
-                       substitutions_checked=total if exhaustive else first + 1,
-                       counterexample=ce,
-                       violations=nviol if exhaustive else None)
+def _scan_chunk(start: int, stop: int, exhaustive: bool):
+    """Pool entry point: :meth:`dsl.Program.scan` on the worker's identity."""
+    A, plan, options = _worker
+    return plan.scan(A, options, start, stop, exhaustive)
 
 
 def _chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
@@ -191,47 +140,66 @@ def _chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
     return [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
 
 
-def run_check(A: Algebra, task: Task, *, exhaustive: bool = False,
+def run_check(A: Algebra, label: str, ast: dsl.IdentityAst, evaluate: Callable,
+              report_scale: Scalar, *, exhaustive: bool = False,
               workers: int = 1) -> CheckReport:
-    """Drive one identity check over the full substitution stream.
+    """Drive one check of ``ast``, reported as ``label``, over the full stream.
 
-    The report is a pure function of (algebra, task, exhaustive): with
-    several workers the stream is scanned in order-preserving chunks and
-    ``substitutions_checked`` keeps its serial meaning.  The pool never has
-    more processes than chunks or than ``os.cpu_count()``, and each process
-    receives the algebra and the task once.
+    ``evaluate(A, args)`` re-evaluates the first counterexample, whose true
+    sides are ``report_scale`` times its result.  The report is a pure
+    function of (algebra, identity, exhaustive): with several workers the
+    stream is scanned in order-preserving chunks and ``substitutions_checked``
+    keeps its serial meaning.  The pool never has more processes than chunks
+    or than ``os.cpu_count()``, and each process receives the algebra and the
+    identity text once.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    resolved = _resolve_task(task)
-    total = substitution_count(A.dim, resolved[1].multiplicities)
+    options = [substitution_options(A.dim, m) for m in ast.multiplicities]
+    total = math.prod(map(len, options))
     if workers == 1 or total < _PARALLEL_MIN:
-        first, nviol = _scan(A, resolved, 0, total, exhaustive)
-        return _report_for(A, resolved, first, nviol, total, exhaustive)
-
-    bounds = _chunk_bounds(total, workers)
-    first = None
-    nviol = 0
-    processes = min(workers, len(bounds), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=processes, initializer=_init_worker,
-                             initargs=(A, task)) as pool:
-        futures = [pool.submit(_scan_chunk, s, e, exhaustive) for s, e in bounds]
-        for fut in futures:  # submission order == stream order
-            f, n = fut.result()
-            nviol += n
-            if f is not None and first is None:
-                first = f
-                if not exhaustive:
-                    for later in futures:
-                        later.cancel()
-                    break
-    return _report_for(A, resolved, first, nviol, total, exhaustive)
+        first, nviol, args = ast.plan.scan(A, options, 0, total, exhaustive)
+    else:
+        bounds = _chunk_bounds(total, workers)
+        first, nviol, args = None, 0, None
+        processes = min(workers, len(bounds), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=processes, initializer=_init_worker,
+                                 initargs=(A, dsl.format_identity(ast))) as pool:
+            futures = [pool.submit(_scan_chunk, s, e, exhaustive) for s, e in bounds]
+            for fut in futures:  # submission order == stream order
+                f, n, a = fut.result()
+                nviol += n
+                if f is not None and first is None:
+                    first, args = f, a
+                    if not exhaustive:
+                        for later in futures:
+                            later.cancel()
+                        break
+    if first is None:
+        return CheckReport(identity=label, algebra=A.name, holds=True,
+                           substitutions_checked=total,
+                           violations=0 if exhaustive else None)
+    lhs, rhs = evaluate(A, args)
+    if report_scale != 1:
+        lhs, rhs = report_scale * lhs, report_scale * rhs
+    ce = Counterexample(substitution=tuple(zip(ast.variables, args)), left=lhs, right=rhs)
+    return CheckReport(identity=label, algebra=A.name, holds=False,
+                       substitutions_checked=total if exhaustive else first + 1,
+                       counterexample=ce,
+                       violations=nviol if exhaustive else None)
 
 
 def check_builtin(A: Algebra, identity_id: str, *, exhaustive: bool = False,
                   workers: int = 1) -> CheckReport:
     """Exhaustively check one builtin identity on an algebra."""
-    return run_check(A, ("builtin", identity_id), exhaustive=exhaustive, workers=workers)
+    try:
+        ident = BUILTIN_IDENTITIES[identity_id]
+    except KeyError:
+        raise UnknownIdentityError(
+            f"unknown identity {identity_id!r}; known: {', '.join(BUILTIN_IDENTITIES)}"
+        ) from None
+    return run_check(A, ident.id, ident.ast, ident.evaluate, ident.report_scale,
+                     exhaustive=exhaustive, workers=workers)
 
 
 def check_glts(A: Algebra, *, exhaustive: bool = False,

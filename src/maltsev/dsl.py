@@ -446,20 +446,21 @@ class Program:
         return r[self.lhs], r[self.rhs]
 
     def scan(self, A: Algebra, options: Sequence[Sequence[Vector]], start: int, stop: int,
-             exhaustive: bool) -> tuple[int | None, int]:
+             exhaustive: bool) -> tuple[int | None, int, tuple[Vector, ...] | None]:
         """Scan substitutions [start, stop) of the product of ``options``.
 
         ``options`` holds one option list per variable, the last variable
         fastest, and ``stop`` is at most the product's length.  Returns the
-        first violating stream index (or None) and the number of violations;
-        without ``exhaustive`` the scan ends at the first violation.
+        first violating stream index (or None), the number of violations and
+        the substitution at that index (or None); without ``exhaustive`` the
+        scan ends at the first violation.
         """
         if start >= stop:
-            return None, 0
+            return None, 0, None
         n, runs, inner, lhs, rhs = self.nvars, self.runs, self.inner, self.lhs, self.rhs
         if not n:
             left, right = self.evaluate(A, ())
-            return (None, 0) if left == right else (start, 1)
+            return (None, 0, None) if left == right else (start, 1, ())
         idx = [0] * n  # the current option index of each variable
         rem = start
         for k in reversed(range(n)):
@@ -467,7 +468,7 @@ class Program:
         r = [options[k][i] for k, i in enumerate(idx)] + [None] * (self.size - n)
         last = n - 1
         fastest = options[last]
-        first, nviol, level = None, 0, 0
+        first, nviol, args, level = None, 0, None, 0
         base = start - idx[last]  # stream index of the block's first option
         while True:
             for out, step in runs[level]:
@@ -479,13 +480,13 @@ class Program:
                     r[out] = step(A, r)
                 if r[lhs] != r[rhs]:
                     if first is None:
-                        first = base + i
+                        first, args = base + i, tuple(r[:n])
                     nviol += 1
                     if not exhaustive:
-                        return first, nviol
+                        return first, nviol, args
             base += len(fastest)
             if base >= stop:
-                return first, nviol
+                return first, nviol, args
             idx[last] = 0
             k = last - 1  # carry into the slower variables
             while idx[k] + 1 == len(options[k]):
@@ -582,5 +583,8 @@ def check_identity(A: Algebra, ast: IdentityAst, *, exhaustive: bool = False,
     """Check a parsed identity with the same contract as a builtin check."""
     from . import checker  # the checker is the layer above this module
 
-    return checker.run_check(A, ("dsl", format_identity(ast)),
+    def evaluate(A, args):
+        return eval_ast(A, ast, dict(zip(ast.variables, args)))
+
+    return checker.run_check(A, format_identity(ast), ast, evaluate, 1,
                              exhaustive=exhaustive, workers=workers)

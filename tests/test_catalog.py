@@ -150,6 +150,31 @@ def test_load_rejects_duplicate_pairs(tmp_path):
         load_algebra(_write(tmp_path, data))
 
 
+@pytest.mark.parametrize("alias", ["01", " 1", "+1", "1_0"])
+def test_load_rejects_result_keys_that_alias_an_index(tmp_path, alias):
+    # int() reads each of these as a basis index ("1_0" as 10)
+    data = {"name": "bad", "dim": 3, "basis": ["e1", "e2", "e3"],
+            "brackets": [{"i": 0, "j": 1, "result": {"1": "2", alias: "3"}}]}
+    with pytest.raises(AlgebraFileError, match="key is not a basis index"):
+        load_algebra(_write(tmp_path, data))
+
+
+def test_load_rejects_repeated_object_keys(tmp_path):
+    # json.loads alone would keep only the last "1"
+    path = tmp_path / "case.alg.json"
+    path.write_text('{"name": "bad", "dim": 3, "basis": ["e1", "e2", "e3"], "brackets": '
+                    '[{"i": 0, "j": 1, "result": {"1": "2", "1": "3"}}]}', encoding="utf-8")
+    with pytest.raises(AlgebraFileError, match="duplicate key '1'"):
+        load_algebra(path)
+
+
+def test_load_rejects_bool_indices(tmp_path):
+    data = {"name": "bad", "dim": 2, "basis": ["e1", "e2"],
+            "brackets": [{"i": False, "j": True, "result": {"0": "1"}}]}
+    with pytest.raises(AlgebraFileError, match="i and j must be integers"):
+        load_algebra(_write(tmp_path, data))
+
+
 def test_load_rejects_invalid_json(tmp_path):
     path = tmp_path / "broken.alg.json"
     path.write_text("{not json", encoding="utf-8")

@@ -133,13 +133,17 @@ def test_scan_reads_the_stream_from_its_chunk_start(nc3):
         if lhs != rhs:
             bad.append(i)
     assert len(bad) == 21
-    resolved = checker._resolve_task(("builtin", "maltsev"))
+    ast = BUILTIN_IDENTITIES["maltsev"].ast
+    options = [substitution_options(3, m) for m in ast.multiplicities]
     for start in range(len(stream)):
         for stop in range(start, len(stream) + 1, 7):
             inside = [i for i in bad if start <= i < stop]
             first = inside[0] if inside else None
-            assert checker._scan(nc3, resolved, start, stop, True) == (first, len(inside))
-            assert checker._scan(nc3, resolved, start, stop, False) == (first, min(1, len(inside)))
+            witness = None if first is None else stream[first]
+            assert (ast.plan.scan(nc3, options, start, stop, True)
+                    == (first, len(inside), witness))
+            assert (ast.plan.scan(nc3, options, start, stop, False)
+                    == (first, min(1, len(inside)), witness))
 
 
 def test_exhaustive_on_holding_identity(so3):
@@ -209,7 +213,8 @@ def test_pool_size_is_capped(monkeypatch, workers, cpus, expected):
     assert report == check_builtin(A, "glts-f")
 
 
-def test_serial_dsl_check_parses_once(monkeypatch, nc3):
+def _count_parses(monkeypatch) -> list[str]:
+    """Record the text of every ``dsl.parse_identity`` call from here on."""
     calls = []
     parse = dsl.parse_identity
 
@@ -217,11 +222,31 @@ def test_serial_dsl_check_parses_once(monkeypatch, nc3):
         calls.append(text)
         return parse(text)
 
-    ast = parse(BUILTIN_IDENTITIES["sagle-yamaguti"].dsl_text)
     monkeypatch.setattr(dsl, "parse_identity", counting_parse)
+    return calls
+
+
+def test_serial_dsl_check_parses_once(monkeypatch, nc3):
+    # the caller's parse is the only one: the checker takes the parsed identity
+    ast = dsl.parse_identity(BUILTIN_IDENTITIES["sagle-yamaguti"].dsl_text)
+    calls = _count_parses(monkeypatch)
     report = check_identity(nc3, ast)
     assert not report.holds
-    assert len(calls) == 1
+    assert calls == []
+
+
+def test_pooled_dsl_check_parses_once_per_worker(monkeypatch):
+    monkeypatch.setattr(checker, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(checker.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    A = builtin("abelian(4)")
+    ast = dsl.parse_identity(BUILTIN_IDENTITIES["glts-f"].dsl_text)
+    calls = _count_parses(monkeypatch)
+    report = check_identity(A, ast, workers=2)
+    # the inline pool runs the initializer once, as one worker would
+    assert _InlinePool.sizes == [2]
+    assert calls == [dsl.format_identity(ast)]
+    assert report == check_identity(A, ast)
 
 
 # -------------------------------------------------------------- aggregates

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from maltsev import save_algebra
 from maltsev.cli import main
@@ -122,6 +123,18 @@ def test_check_deeply_nested_dsl_exits_2_without_traceback(tmp_path):
     assert "line 1" in proc.stderr and "nested brackets" in proc.stderr
 
 
+def test_check_ambiguous_algebra_file_exits_2_without_traceback(tmp_path):
+    path = tmp_path / "ambiguous.alg.json"
+    path.write_text('{"name": "amb", "dim": 2, "basis": ["e1", "e2"], "brackets": '
+                    '[{"i": 0, "j": 1, "result": {"1": "1", "1": "2"}}]}', encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "maltsev", "check", str(path),
+                           "--identity", "jacobi"],
+                          capture_output=True, text=True, env=package_env())
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "duplicate key '1'" in proc.stderr
+
+
 def test_check_empty_dsl_file_exits_2(tmp_path, capsys):
     ident_file = tmp_path / "empty.txt"
     ident_file.write_text("# nothing here\n", encoding="utf-8")
@@ -218,3 +231,14 @@ def test_table_bad_source_exits_2(capsys):
     code, _, err = run(capsys, "table", "nope")
     assert code == 2
     assert "error:" in err
+
+
+# ------------------------------------------------------------------ scripts
+
+def test_equivalence_sweep_script_runs():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "equivalence_sweep.py"
+    proc = subprocess.run([sys.executable, str(script), "--count", "3"],
+                          capture_output=True, text=True, env=package_env())
+    assert proc.returncode == 0, proc.stderr
+    assert "8 algebras checked (catalog 5 + 3 random, seed 20260809)" in proc.stdout.splitlines()
+    assert "verdicts disagree on 0" in proc.stdout

@@ -4,14 +4,16 @@
 rerunning only the steps whose variables changed and applying partial maps
 ``[a,.]``/``[a,b,.]``.  ``oracle.check_ast`` evaluates the AST afresh at
 every substitution.  The two must agree on every report field, in both
-modes, and ``_scan`` must agree on every chunk range a pool would use.
+modes, and the program's scan must agree on every chunk range a pool
+would use, down to the substitution it returns as the first violation.
 """
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 
-from maltsev import builtin, check_builtin, substitution_count
+from maltsev import (builtin, check_builtin, check_identity, substitution_count,
+                     substitution_options)
 from maltsev import checker
 from maltsev.catalog import full_catalog
 from maltsev.cli import main
@@ -53,13 +55,17 @@ DIM3 = random_dim3_algebras(100, RANDOM_ALGEBRA_SEED)
 
 
 def _cases():
-    """(task, ast, label, report scale) for every builtin and edge text."""
+    """(check, ast, label, report scale) for every builtin and edge text.
+
+    ``check(A, exhaustive=...)`` runs the case through its public entry point.
+    """
     out = []
     for ident in BUILTIN_IDENTITIES.values():
-        out.append((("builtin", ident.id), ident.ast, ident.id, ident.report_scale))
+        out.append((partial(check_builtin, identity_id=ident.id), ident.ast, ident.id,
+                    ident.report_scale))
     for text in EDGE_TEXTS:
         ast = parse_identity(text)
-        out.append((("dsl", text), ast, format_identity(ast), 1))
+        out.append((partial(check_identity, ast=ast), ast, format_identity(ast), 1))
     return out
 
 
@@ -75,11 +81,11 @@ def _scanned(A, ast):
 def _mismatches(algebras, exhaustive):
     bad = []
     for A in algebras:
-        for task, ast, label, scale in CASES:
+        for check, ast, label, scale in CASES:
             scanned = _scanned(A, ast) if exhaustive else None
             want = oracle.check_ast(A, ast, label, scale=scale, exhaustive=exhaustive,
                                     scanned=scanned)
-            if checker.run_check(A, task, exhaustive=exhaustive) != want:
+            if check(A, exhaustive=exhaustive) != want:
                 bad.append(f"{label} on {A.name}")
     return bad
 
@@ -117,21 +123,39 @@ def _ranges(total, fastest):
     return sorted((s, min(e, total)) for s, e in out if s < min(e, total))
 
 
+@lru_cache(maxsize=None)
+def _chunk_scans(ast):
+    """For every chunk range on four small algebras: the range, the oracle's
+    violating substitutions in it ({index: args}) and the scan's triples in
+    exhaustive and first-violation mode."""
+    out = []
+    for A in SMALL:
+        if A.name not in ("so3", "nc3", "rand3-0", "rand4-1"):
+            continue
+        bad = {v[0]: v[1] for v in _scanned(A, ast)[0]}
+        options = [substitution_options(A.dim, m) for m in ast.multiplicities]
+        fastest = A.dim if ast.variables else 1
+        for start, stop in _ranges(substitution_count(A.dim, ast.multiplicities), fastest):
+            inside = {i: args for i, args in bad.items() if start <= i < stop}
+            out.append((start, stop, inside, ast.plan.scan(A, options, start, stop, True),
+                        ast.plan.scan(A, options, start, stop, False)))
+    return out
+
+
 @pytest.mark.parametrize("case", CASES, ids=[c[2] for c in CASES])
 def test_scan_matches_the_oracle_on_every_chunk_range(case):
-    task, ast, _, _ = case
-    resolved = checker._resolve_task(task)
-    algebras = [A for A in SMALL if A.name in ("so3", "nc3", "rand3-0", "rand4-1")]
-    for A in algebras:
-        bad = [v[0] for v in _scanned(A, ast)[0]]
-        total = substitution_count(A.dim, ast.multiplicities)
-        fastest = A.dim if ast.variables else 1
-        for start, stop in _ranges(total, fastest):
-            inside = [i for i in bad if start <= i < stop]
-            first = inside[0] if inside else None
-            assert checker._scan(A, resolved, start, stop, True) == (first, len(inside))
-            assert (checker._scan(A, resolved, start, stop, False)
-                    == (first, min(1, len(inside))))
+    for start, stop, inside, exhaustive, short in _chunk_scans(case[1]):
+        first = min(inside, default=None)
+        assert exhaustive[:2] == (first, len(inside))
+        assert short[:2] == (first, min(1, len(inside)))
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c[2] for c in CASES])
+def test_scan_returns_the_oracle_substitution_at_first(case):
+    for start, stop, inside, exhaustive, short in _chunk_scans(case[1]):
+        witness = inside[min(inside)] if inside else None
+        assert exhaustive[2] == witness, (start, stop)
+        assert short[2] == witness, (start, stop)
 
 
 @pytest.mark.parametrize("workers", [2, 3, 4])
@@ -145,8 +169,7 @@ def test_pooled_reports_match_the_oracle(monkeypatch, workers):
             for exhaustive in (False, True):
                 want = oracle.check_ast(A, ident.ast, ident_id, scale=ident.report_scale,
                                         exhaustive=exhaustive, scanned=_scanned(A, ident.ast))
-                got = checker.run_check(A, ("builtin", ident_id), exhaustive=exhaustive,
-                                        workers=workers)
+                got = check_builtin(A, ident_id, exhaustive=exhaustive, workers=workers)
                 assert got == want
     assert _InlinePool.sizes  # the pooled path ran
 
