@@ -30,7 +30,7 @@ BUILTIN_ALGEBRA_DOC = (
 
 FILE_SUFFIX = ".alg.json"
 
-_ABELIAN_RE = re.compile(r"^abelian\((-?\d+)\)$")
+_ABELIAN_RE = re.compile(r"^abelian\((-?[0-9]+)\)$")
 
 
 class AlgebraFileError(ValueError):

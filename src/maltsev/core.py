@@ -46,7 +46,7 @@ from typing import Iterable, Iterator, Mapping
 
 Scalar = int | Fraction
 
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/([+-]?\d+))?$")
+_RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([+-]?[0-9]+))?$")
 
 
 class DimensionMismatch(ValueError):
@@ -252,6 +252,10 @@ class Operator:
                     col = map(mul, repeat(c), col)
                 out = col if out is None else map(add, out, col)
         return (0,) * len(cols) if out is None else tuple(out)
+
+    def column(self, l: int) -> tuple[Scalar, ...]:
+        """The coordinates of column ``l``: the image of ``e_l``."""
+        return self._cols[l] or self._fill(l)
 
     @property
     def rows(self) -> tuple[tuple[Scalar, ...], ...]:

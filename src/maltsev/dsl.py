@@ -38,8 +38,14 @@ when one of its own variables changes.  A bracket whose last argument
 varies faster than the others is split into the operator ``l+_a`` or
 ``6Y(a;b)``, built when ``a`` or ``b`` change, and an ``apply`` of it to
 the last argument; the operator fills its columns ``[a,e_l]``/``[a,b,e_l]``
-on first use.  The arithmetic is exact, so every value, count and first
-counterexample equals that of evaluating each substitution afresh.
+on first use.  A vector identity whose last variable ``v`` stands only where
+``_`` may stand compiles with ``v`` as ``_``, and its scan compares column l
+of the two operator sides, once per prefix, where it would compare the sides
+at ``v = e_l``.  By polarization that is exact: ``v`` has multiplicity 1, so
+its options are ``e_0 ... e_{d-1}`` in order, and each side is linear in
+``v``, so its value at ``e_l`` is its column l.  The arithmetic is exact, so
+every value, count and first counterexample equals that of evaluating each
+substitution afresh.
 Builtin and user identities are checked through that one program.
 """
 from __future__ import annotations
@@ -293,6 +299,18 @@ def _additive_terms(side: Expr) -> tuple[Expr, ...]:
     return side.terms if isinstance(side, Sum) else (side,)
 
 
+def _in_column(term: Expr, leaf: Expr) -> bool:
+    """Whether ``term`` holds ``leaf`` once, last in each bracket around it, in no sum."""
+    while isinstance(term, (Scale, Bracket)):
+        if isinstance(term, Scale):
+            term = term.child
+        elif any(leaf in _walk(a) for a in term.args[:-1]):
+            return False
+        else:
+            term = term.args[-1]
+    return term == leaf
+
+
 def _infer_variables(lhs: Expr, rhs: Expr) -> tuple[tuple[str, ...], tuple[int, ...]]:
     order: list[str] = []
     for node in (*_walk(lhs), *_walk(rhs)):
@@ -421,12 +439,14 @@ class Program:
     such as ``0`` or ``_``.  In stream order the last variable is fastest,
     so when variable k advances only the steps of level > k run again.
     :meth:`evaluate` runs every step once; :meth:`scan` drives the program
-    over a range of the substitution stream.
+    over a range of the substitution stream.  A *column* program compiled its
+    last variable as ``_``: its sides are operators, and ``inner`` is empty.
     """
 
     def __init__(self, nvars: int, steps: Sequence[tuple[int, Callable]],
-                 levels: Sequence[int], lhs: int, rhs: int):
+                 levels: Sequence[int], lhs: int, rhs: int, column: bool):
         self.nvars = nvars
+        self.column = column
         self.size = len(levels)
         self.lhs = lhs
         self.rhs = rhs
@@ -443,7 +463,8 @@ class Program:
         # uses one of inner
         for out, step in (*self.runs[0], *self.inner):
             r[out] = step(A, r)
-        return r[self.lhs], r[self.rhs]
+        left, right = r[self.lhs], r[self.rhs]
+        return (left.apply(args[-1]), right.apply(args[-1])) if self.column else (left, right)
 
     def scan(self, A: Algebra, options: Sequence[Sequence[Vector]], start: int, stop: int,
              exhaustive: bool) -> tuple[int | None, int, tuple[Vector, ...] | None]:
@@ -453,7 +474,8 @@ class Program:
         fastest, and ``stop`` is at most the product's length.  Returns the
         first violating stream index (or None), the number of violations and
         the substitution at that index (or None); without ``exhaustive`` the
-        scan ends at the first violation.
+        scan ends at the first violation.  A column program compares column i
+        of its operator sides where a vector program compares the sides at i.
         """
         if start >= stop:
             return None, 0, None
@@ -474,16 +496,24 @@ class Program:
             for out, step in runs[level]:
                 r[out] = step(A, r)
             end = min(len(fastest), stop - base)
-            for i in range(idx[last], end):
-                r[last] = fastest[i]
-                for out, step in inner:
-                    r[out] = step(A, r)
-                if r[lhs] != r[rhs]:
-                    if first is None:
-                        first, args = base + i, tuple(r[:n])
-                    nviol += 1
-                    if not exhaustive:
-                        return first, nviol, args
+            if self.column:
+                bad = [i for i in range(idx[last], end) if r[lhs].column(i) != r[rhs].column(i)]
+            else:
+                bad = []
+                for i in range(idx[last], end):
+                    r[last] = fastest[i]
+                    for out, step in inner:
+                        r[out] = step(A, r)
+                    if r[lhs] != r[rhs]:
+                        bad.append(i)
+                        if not exhaustive:
+                            break
+            if bad:
+                if first is None:
+                    first, args = base + bad[0], (*r[:last], fastest[bad[0]])
+                if not exhaustive:
+                    return first, 1, args
+                nviol += len(bad)
             base += len(fastest)
             if base >= stop:
                 return first, nviol, args
@@ -508,6 +538,11 @@ def _compile(ast: IdentityAst) -> Program:
     value the last argument takes before ``a`` or ``b`` change.
     """
     nvars = len(ast.variables)
+    v = Var(ast.variables[-1]) if nvars else None
+    column = v is not None and all(  # a literal 0 may follow a minus
+        _in_column(t, v) or t in (Sum(()), Scale(-1, Sum(())))
+        for side in (ast.lhs, ast.rhs) for t in _additive_terms(side))
+    leaf = v if column else Column()  # compiled as the identity operator
     index = {name: i for i, name in enumerate(ast.variables)}
     levels = list(range(1, nvars + 1))  # register -> level
     steps = []
@@ -524,10 +559,10 @@ def _compile(ast: IdentityAst) -> Program:
 
     def compile_node(node: Expr, zero: type) -> tuple[int, bool]:
         """The register of ``node`` and whether it holds an operator."""
+        if node == leaf:
+            return emit(_identity_step, ()), True
         if isinstance(node, Var):
             return index[node.name], False
-        if isinstance(node, Column):
-            return emit(_identity_step, ()), True
         if isinstance(node, Scale):
             reg, is_operator = compile_node(node.child, zero)
             return emit(_scale_step, (reg,), node.coeff), is_operator
@@ -544,7 +579,7 @@ def _compile(ast: IdentityAst) -> Program:
         *front, last = node.args
         front = tuple(compile_node(a, Vector)[0] for a in front)
         linear = _left_translation_step if len(front) == 1 else _sixfold_yamagutian_step
-        if isinstance(last, Column):
+        if last == leaf:
             return emit(linear, front), True
         reg, is_operator = compile_node(last, Vector)
         if is_operator:
@@ -553,10 +588,10 @@ def _compile(ast: IdentityAst) -> Program:
             return emit(_apply_step, (emit(linear, front), reg)), False
         return emit(_bracket_step if len(front) == 1 else _yamaguti_step, (*front, reg)), False
 
-    zero = Operator if ast.level == "operator" else Vector
+    zero = Operator if column or ast.level == "operator" else Vector
     lhs = compile_node(ast.lhs, zero)[0]
     rhs = compile_node(ast.rhs, zero)[0]
-    return Program(nvars, steps, levels, lhs, rhs)
+    return Program(nvars, steps, levels, lhs, rhs, column)
 
 
 def eval_ast(A: Algebra, ast: IdentityAst,

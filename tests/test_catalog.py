@@ -26,7 +26,8 @@ def test_builtin_names():
     assert builtin("nc3").name == "nc3"
 
 
-@pytest.mark.parametrize("name", ["abelian(0)", "abelian(-2)", "su2", "m8", ""])
+@pytest.mark.parametrize("name", ["abelian(0)", "abelian(-2)", "su2", "m8", "",
+                                  "abelian(\u0663)", "abelian(\uff13)"])  # non-ASCII digits
 def test_builtin_rejects_unknown(name):
     with pytest.raises(ValueError):
         builtin(name)
@@ -139,6 +140,13 @@ def test_load_rejects_zero_denominator(tmp_path):
     data = {"name": "bad", "dim": 2, "basis": ["e1", "e2"],
             "brackets": [{"i": 0, "j": 1, "result": {"0": "1/0"}}]}
     with pytest.raises(AlgebraFileError, match="zero denominator"):
+        load_algebra(_write(tmp_path, data))
+
+
+def test_load_rejects_non_ascii_digits(tmp_path):
+    data = {"name": "bad", "dim": 2, "basis": ["e1", "e2"],
+            "brackets": [{"i": 0, "j": 1, "result": {"0": "\uff11"}}]}
+    with pytest.raises(AlgebraFileError, match="bad rational"):
         load_algebra(_write(tmp_path, data))
 
 

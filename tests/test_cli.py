@@ -135,6 +135,15 @@ def test_check_ambiguous_algebra_file_exits_2_without_traceback(tmp_path):
     assert "duplicate key '1'" in proc.stderr
 
 
+def test_check_non_ascii_abelian_dimension_exits_2_without_traceback():
+    proc = subprocess.run([sys.executable, "-m", "maltsev", "check", "abelian(\u0663)"],
+                          capture_output=True, text=True, encoding="utf-8", env=package_env())
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "unknown builtin algebra 'abelian(\u0663)'" in proc.stderr
+
+
 def test_check_empty_dsl_file_exits_2(tmp_path, capsys):
     ident_file = tmp_path / "empty.txt"
     ident_file.write_text("# nothing here\n", encoding="utf-8")

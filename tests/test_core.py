@@ -43,7 +43,8 @@ def test_parse_rational(text, value):
     assert parse_rational(text) == value
 
 
-@pytest.mark.parametrize("text", ["1/0", "x", "1.5", "", "1e3", "1/2/3", "2 / 3"])
+@pytest.mark.parametrize("text", ["1/0", "x", "1.5", "", "1e3", "1/2/3", "2 / 3",
+                                  "\uff11/\uff12", "\u0663", "1/\u0662"])  # non-ASCII digits
 def test_parse_rational_rejects(text):
     with pytest.raises(ValueError):
         parse_rational(text)

@@ -12,7 +12,7 @@ from functools import lru_cache, partial
 
 import pytest
 
-from maltsev import (builtin, check_builtin, check_identity, substitution_count,
+from maltsev import (Vector, builtin, check_builtin, check_identity, substitution_count,
                      substitution_options)
 from maltsev import checker
 from maltsev.catalog import full_catalog
@@ -21,7 +21,8 @@ from maltsev.dsl import format_identity, parse_identity
 from maltsev.identities import BUILTIN_IDENTITIES
 
 from . import oracle
-from .support import RANDOM_ALGEBRA_SEED, random_algebra, random_dim3_algebras
+from .support import (RANDOM_ALGEBRA_SEED, RANDOM_VECTOR_SEED, random_algebra,
+                      random_dim3_algebras, random_vector)
 from .test_checker import _InlinePool
 
 EDGE_TEXTS = (
@@ -41,7 +42,22 @@ EDGE_TEXTS = (
     "1/6*[x,y,[z,_]] = 1/6*[z,[x,y,_]] + 1/6*[[x,y,z],_]",
     "0 = [x,_] - [x,_]",
     "[[x,y],z,_] = [x,[y,z],_]",
+    # column scan in the last variable; the first text fails on nc3, rand3-0
+    # and rand4-*, the second everywhere
+    "[x,[y,z]] = [[x,y],z] + [y,[x,z]]",
+    "[x,z] = z",
+    "[x,y] - 0 = 2*[x,y]",
+    "[x,y] - 0 = [x,2*y]",
+    # vector scan: the last variable not last in a bracket, a term without
+    # it, a 0 inside a bracket
+    "[x,z] + [z,x] = 0",
+    "[x,y,z] = [x,y,z] + [x,y] - [x,y]",
+    "[x,0] + [x,y] = [x,y]",
 )
+
+# the builtins whose last variable the compiler takes as the column variable
+COLUMN_BUILTINS = {"glts-f", "ternary-derivation", "sagle-yamaguti", "derivation",
+                   "glts-d", "ternary-antisymmetry"}
 
 
 def _algebras():
@@ -172,6 +188,40 @@ def test_pooled_reports_match_the_oracle(monkeypatch, workers):
                 got = check_builtin(A, ident_id, exhaustive=exhaustive, workers=workers)
                 assert got == want
     assert _InlinePool.sizes  # the pooled path ran
+
+
+def test_column_scan_is_taken_by_exactly_the_linear_builtins():
+    column = {i.id for i in BUILTIN_IDENTITIES.values() if i.ast.plan.inner == ()}
+    assert column == COLUMN_BUILTINS
+    assert all(i.ast.plan.column == (i.id in COLUMN_BUILTINS)
+               for i in BUILTIN_IDENTITIES.values())
+
+
+@pytest.mark.parametrize("text,column", [
+    ("[x,[y,z]] = [[x,y],z] + [y,[x,z]]", True),
+    ("[x,z] = z", True),
+    ("[x,y] - 0 = [x,2*y]", True),
+    ("[x,z] + [z,x] = 0", False),
+    ("[x,y,z] = [x,y,z] + [x,y] - [x,y]", False),
+    ("[x,0] + [x,y] = [x,y]", False),
+    ("0 = 0", False),
+])
+def test_column_scan_eligibility_at_the_boundary(text, column):
+    assert parse_identity(text).plan.column == column
+
+
+def test_column_programs_evaluate_like_the_oracle_at_random_vectors():
+    # the sides are operators in the last variable, applied to it: exact at
+    # any rational vector, not only at the basis vectors the scan compares
+    asts = [case[1] for case in CASES if case[1].plan.column]
+    assert len(asts) == len(COLUMN_BUILTINS) + 7
+    rng = random.Random(RANDOM_VECTOR_SEED)
+    for A in SMALL:
+        for ast in asts:
+            for _ in range(3):
+                env = {name: random_vector(rng, A.dim) for name in ast.variables}
+                want = tuple(oracle.eval_side(A, side, env, Vector) for side in (ast.lhs, ast.rhs))
+                assert ast.plan.evaluate(A, list(env.values())) == want, (A.name, ast)
 
 
 def test_identity_without_variables_holds_once(tmp_path, capsys):
