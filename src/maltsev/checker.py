@@ -11,6 +11,15 @@ worker count.
 :func:`run_check` takes a parsed identity and scans with its compiled
 program, which hands back the first violating substitution for the report;
 pool workers receive the identity as text and parse it once each.
+
+Each algebra keeps the result of every scan run on it, by the identity's
+key (``IdentityAst.key``) and mode, so identities that are the same bracket
+polynomial share one scan: a check whose key was scanned before builds its
+report from the stored result, re-evaluating the first counterexample with
+its own program.  An operator identity and its vector twin scan the same
+stream, every prefix followed by ``e_0 ... e_{d-1}``; the vector label
+reports its index and the violating columns, the operator label the
+prefix's index and the violating prefixes.
 """
 from __future__ import annotations
 
@@ -22,7 +31,7 @@ from itertools import combinations, product
 from typing import Callable, Iterator, Sequence
 
 from . import dsl
-from .core import Algebra, Operator, Scalar, Vector, format_rational
+from .core import Algebra, Operator, Vector, format_rational
 from .identities import BUILTIN_IDENTITIES, GLTS_AXIOM_IDS
 
 _PARALLEL_MIN = 256  # below this many substitutions, workers are pure overhead
@@ -124,8 +133,8 @@ _worker: tuple = ()  # (algebra, compiled program, option lists), set by _init_w
 
 def _init_worker(A: Algebra, text: str) -> None:
     global _worker
-    ast = dsl.parse_identity(text)
-    _worker = (A, ast.plan, [substitution_options(A.dim, m) for m in ast.multiplicities])
+    plan = dsl.parse_identity(text).plan
+    _worker = (A, plan, [substitution_options(A.dim, m) for m in plan.multiplicities])
 
 
 def _scan_chunk(start: int, stop: int, exhaustive: bool):
@@ -134,54 +143,90 @@ def _scan_chunk(start: int, stop: int, exhaustive: bool):
     return plan.scan(A, options, start, stop, exhaustive)
 
 
-def _chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
-    """The [start, stop) ranges a pool of ``workers`` scans, in stream order."""
+def _chunk_bounds(total: int, workers: int, unit: int = 1) -> list[tuple[int, int]]:
+    """The [start, stop) ranges a pool of ``workers`` scans, in stream order.
+
+    Every range starts at a multiple of ``unit``: a column program's prefix
+    of ``dim`` columns is never split, so no chunk counts it twice.
+    """
     chunk = max(64, -(-total // (workers * _CHUNKS_PER_WORKER)))
+    chunk = -(-chunk // unit) * unit
     return [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
 
 
-def run_check(A: Algebra, label: str, ast: dsl.IdentityAst, evaluate: Callable,
-              report_scale: Scalar, *, exhaustive: bool = False,
-              workers: int = 1) -> CheckReport:
+def _scan(A: Algebra, ast: dsl.IdentityAst, exhaustive: bool, workers: int) -> tuple:
+    """:meth:`dsl.Program.scan` of ``ast`` over its whole stream, serial or
+    pooled, and the stream's length."""
+    plan = ast.plan
+    options = [substitution_options(A.dim, m) for m in plan.multiplicities]
+    total = math.prod(map(len, options))
+    # the pool starts at _PARALLEL_MIN substitutions; an operator identity's
+    # stream holds dim columns per substitution
+    if workers == 1 or total < _PARALLEL_MIN * (A.dim if ast.level == "operator" else 1):
+        return (*plan.scan(A, options, 0, total, exhaustive), total)
+    bounds = _chunk_bounds(total, workers, A.dim if plan.column else 1)
+    first, nviol, nprefixes, args = None, 0, 0, None
+    processes = min(workers, len(bounds), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=processes, initializer=_init_worker,
+                             initargs=(A, dsl.format_identity(ast))) as pool:
+        futures = [pool.submit(_scan_chunk, s, e, exhaustive) for s, e in bounds]
+        for fut in futures:  # submission order == stream order
+            f, n, p, a = fut.result()
+            nviol += n
+            nprefixes += p
+            if f is not None and first is None:
+                first, args = f, a
+                if not exhaustive:
+                    for later in futures:
+                        later.cancel()
+                    break
+    return first, nviol, nprefixes, args, total
+
+
+def _substitution(A: Algebra, plan: dsl.Program, index: int) -> tuple[Vector, ...]:
+    """The substitution at ``index`` of ``plan``'s stream."""
+    args = []
+    for m in reversed(plan.multiplicities):
+        options = substitution_options(A.dim, m)
+        index, i = divmod(index, len(options))
+        args.append(options[i])
+    return tuple(reversed(args))
+
+
+def run_check(A: Algebra, label: str, ast: dsl.IdentityAst, evaluate: Callable, *,
+              exhaustive: bool = False, workers: int = 1) -> CheckReport:
     """Drive one check of ``ast``, reported as ``label``, over the full stream.
 
-    ``evaluate(A, args)`` re-evaluates the first counterexample, whose true
-    sides are ``report_scale`` times its result.  The report is a pure
-    function of (algebra, identity, exhaustive): with several workers the
-    stream is scanned in order-preserving chunks and ``substitutions_checked``
-    keeps its serial meaning.  The pool never has more processes than chunks
-    or than ``os.cpu_count()``, and each process receives the algebra and the
-    identity text once.
+    ``evaluate(A, args)`` re-evaluates the first counterexample.  The report
+    is a pure function of (algebra, identity, exhaustive): with several
+    workers the stream is scanned in order-preserving chunks and
+    ``substitutions_checked`` keeps its serial meaning.  The pool never has
+    more processes than chunks or than ``os.cpu_count()``, and each process
+    receives the algebra and the identity text once.  A key that was
+    scanned on ``A`` before, in the same mode, is not scanned again.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    options = [substitution_options(A.dim, m) for m in ast.multiplicities]
-    total = math.prod(map(len, options))
-    if workers == 1 or total < _PARALLEL_MIN:
-        first, nviol, args = ast.plan.scan(A, options, 0, total, exhaustive)
+    key = (ast.key, exhaustive)
+    found = A._scans.get(key)
+    if found is None:
+        first, nviol, nprefixes, args, total = _scan(A, ast, exhaustive, workers)
+        # integers only, so that the stored scans add nothing for the
+        # cyclic garbage collector to traverse
+        A._scans[key] = first, nviol, nprefixes, total
     else:
-        bounds = _chunk_bounds(total, workers)
-        first, nviol, args = None, 0, None
-        processes = min(workers, len(bounds), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=processes, initializer=_init_worker,
-                                 initargs=(A, dsl.format_identity(ast))) as pool:
-            futures = [pool.submit(_scan_chunk, s, e, exhaustive) for s, e in bounds]
-            for fut in futures:  # submission order == stream order
-                f, n, a = fut.result()
-                nviol += n
-                if f is not None and first is None:
-                    first, args = f, a
-                    if not exhaustive:
-                        for later in futures:
-                            later.cancel()
-                        break
+        first, nviol, nprefixes, total = found
+        args = None if first is None else _substitution(A, ast.plan, first)
+    operator = ast.level == "operator"  # one substitution per prefix; "_" is no variable
+    if operator:
+        total //= A.dim
     if first is None:
         return CheckReport(identity=label, algebra=A.name, holds=True,
                            substitutions_checked=total,
                            violations=0 if exhaustive else None)
+    if operator:
+        first, nviol, args = first // A.dim, nprefixes, args[:-1]
     lhs, rhs = evaluate(A, args)
-    if report_scale != 1:
-        lhs, rhs = report_scale * lhs, report_scale * rhs
     ce = Counterexample(substitution=tuple(zip(ast.variables, args)), left=lhs, right=rhs)
     return CheckReport(identity=label, algebra=A.name, holds=False,
                        substitutions_checked=total if exhaustive else first + 1,
@@ -198,7 +243,7 @@ def check_builtin(A: Algebra, identity_id: str, *, exhaustive: bool = False,
         raise UnknownIdentityError(
             f"unknown identity {identity_id!r}; known: {', '.join(BUILTIN_IDENTITIES)}"
         ) from None
-    return run_check(A, ident.id, ident.ast, ident.evaluate, ident.report_scale,
+    return run_check(A, ident.id, ident.ast, ident.evaluate,
                      exhaustive=exhaustive, workers=workers)
 
 

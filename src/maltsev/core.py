@@ -330,10 +330,12 @@ class Algebra:
     are derived, never stored, so no instance can violate antisymmetry.
 
     ``_ternary`` caches the ternary table (see the module docstring); it is
-    filled lazily and ignored by equality, hashing and pickling.
+    filled lazily and ignored by equality, hashing and pickling.  So is
+    ``_scans``, where the checker keeps the result of each scan it ran on
+    this algebra, by identity key and mode.
     """
 
-    __slots__ = ("name", "basis", "_pairs", "_rows", "_ternary", "_hash")
+    __slots__ = ("name", "basis", "_pairs", "_rows", "_ternary", "_scans", "_hash")
 
     def __init__(self, name: str, basis: Iterable[str],
                  brackets: Mapping[tuple[int, int], Vector | Iterable[Scalar]]):
@@ -360,6 +362,7 @@ class Algebra:
         self._pairs = pairs
         self._rows = _sparse_rows(dim, pairs)
         self._ternary = None
+        self._scans = {}
         self._hash = hash((name, basis, tuple(sorted(pairs.items()))))
 
     @property

@@ -38,23 +38,47 @@ when one of its own variables changes.  A bracket whose last argument
 varies faster than the others is split into the operator ``l+_a`` or
 ``6Y(a;b)``, built when ``a`` or ``b`` change, and an ``apply`` of it to
 the last argument; the operator fills its columns ``[a,e_l]``/``[a,b,e_l]``
-on first use.  A vector identity whose last variable ``v`` stands only where
-``_`` may stand compiles with ``v`` as ``_``, and its scan compares column l
-of the two operator sides, once per prefix, where it would compare the sides
-at ``v = e_l``.  By polarization that is exact: ``v`` has multiplicity 1, so
-its options are ``e_0 ... e_{d-1}`` in order, and each side is linear in
-``v``, so its value at ``e_l`` is its column l.  The arithmetic is exact, so
-every value, count and first counterexample equals that of evaluating each
-substitution afresh.
+on first use.  The top-level coefficients of both sides are multiplied by
+the lcm ``L`` of their denominators, so a text such as
+``1/6*[x,y,[z,w]] = ...`` scans in integers; ``Program.evaluate`` divides
+the sides by ``L`` again.
+
+A *column program* compares two operator sides column by column.  An
+operator identity compiles into one whose prefix is all of its variables:
+its stream is every substitution followed by ``_ = e_0 ... e_{d-1}``, and a
+substitution violates iff one of its columns does.  A vector identity whose
+last variable ``v`` stands only where ``_`` may stand compiles with ``v`` as
+``_``, and its scan compares column l of the two operator sides, once per
+prefix, where it would compare the sides at ``v = e_l``.  By polarization
+that is exact: ``v`` has multiplicity 1, so its options are
+``e_0 ... e_{d-1}`` in order, and each side is linear in ``v``, so its value
+at ``e_l`` is its column l.  The arithmetic is exact, so every value, count
+and first counterexample equals that of evaluating each substitution
+afresh.
+
+``IdentityAst.key`` names the scan a check needs.  LHS - RHS is expanded
+multilinearly into a sum of monomials in two free brackets, binary and
+ternary (no anticommutativity), with a column-compiled last variable written
+as ``_`` and the other variables renamed by position, then divided by its
+first coefficient; the key is that polynomial with the program's slot
+multiplicities and column flag.  Two identities with equal keys have sides
+whose differences are proportional at every substitution, so they violate
+at the same stream indices: an operator identity and the vector identity
+whose last variable is its ``_`` (its *twin*) share one scan, and so do
+``1/6*`` texts and their integer forms.  An identity with a bracket whose
+expansion would exceed :data:`MAX_MONOMIALS` monomials is not expanded; it
+is its own key, so the key costs at most about that much per bracket.
 Builtin and user identities are checked through that one program.
 """
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from typing import TYPE_CHECKING, Iterator, Mapping, Union
 
 from .core import (
@@ -63,6 +87,7 @@ from .core import (
     Operator,
     Scalar,
     Vector,
+    _canonical,
     bracket,
     format_rational,
     left_translation,
@@ -77,6 +102,7 @@ Expr = Union["Var", "Column", "Scale", "Sum", "Bracket"]
 Value = Vector | Operator
 
 MAX_NESTING = 100
+MAX_MONOMIALS = 4096
 
 
 @dataclass(frozen=True)
@@ -114,14 +140,22 @@ class IdentityAst:
 
     @property
     def level(self) -> str:
-        """``"operator"`` when the identity uses ``_``, else ``"vector"``."""
-        nodes = (*_walk(self.lhs), *_walk(self.rhs))
-        return "operator" if any(isinstance(n, Column) for n in nodes) else "vector"
+        """``"operator"`` when the identity uses ``_``, else ``"vector"``.
+
+        Read from the program: ``_`` takes a slot after the variables.
+        """
+        plan = self.plan
+        return "operator" if plan.nvars > len(self.variables) else "vector"
 
     @cached_property
     def plan(self) -> Program:
         """Both sides compiled into one staged program (see :class:`Program`)."""
         return _compile(self)
+
+    @cached_property
+    def key(self) -> tuple | IdentityAst:
+        """Equal for identities that one scan serves (see the module docstring)."""
+        return _key(self)
 
 
 class IdentitySyntaxError(ValueError):
@@ -433,64 +467,79 @@ def _identity_step():
 class Program:
     """Both sides of an identity as a staged straight-line program.
 
-    The registers hold the substituted vectors in ``variables`` order, then
-    the value of each distinct subterm.  Each step has a *level*: one more
-    than the index of the last variable it depends on, or 0 for a constant
-    such as ``0`` or ``_``.  In stream order the last variable is fastest,
-    so when variable k advances only the steps of level > k run again.
-    :meth:`evaluate` runs every step once; :meth:`scan` drives the program
-    over a range of the substitution stream.  A *column* program compiled its
-    last variable as ``_``: its sides are operators, and ``inner`` is empty.
+    The registers hold one substituted vector per *slot* (the variables in
+    ``variables`` order, then ``_`` for an operator identity), then the
+    value of each distinct subterm.  Each step has a *level*: one more than
+    the index of the last slot it depends on, or 0 for a constant such as
+    ``0`` or ``_``.  In stream order the last slot is fastest, so when slot k
+    advances only the steps of level > k run again.  :meth:`evaluate` runs
+    every step once; :meth:`scan` drives the program over a range of the
+    substitution stream, one option list per slot (``multiplicities``).  A
+    *column* program's last slot is ``_``: its sides are operators, no step
+    reads that slot, and ``inner`` is empty.  The program's top-level
+    coefficients are ``L`` times the text's, and ``scale`` is ``1/L``.
     """
 
-    def __init__(self, nvars: int, steps: Sequence[tuple[int, Callable]],
-                 levels: Sequence[int], lhs: int, rhs: int, column: bool):
-        self.nvars = nvars
+    def __init__(self, multiplicities: Sequence[int], steps: Sequence[tuple[int, Callable]],
+                 levels: Sequence[int], lhs: int, rhs: int, column: bool, scale: Scalar):
+        self.multiplicities = tuple(multiplicities)
+        self.nvars = nvars = len(self.multiplicities)
         self.column = column
+        self.scale = scale
         self.size = len(levels)
         self.lhs = lhs
         self.rhs = rhs
         # runs[k]: the (register, step) pairs with k <= level < nvars;
-        # inner: those of level nvars, which follow the fastest variable
+        # inner: those of level nvars, which follow the fastest slot
         self.runs = tuple(tuple(s for s in steps if k <= levels[s[0]] < nvars)
                           for k in range(nvars + 1))
         self.inner = tuple(s for s in steps if levels[s[0]] == nvars)
 
     def evaluate(self, A: Algebra, args: Sequence[Vector]) -> tuple[Value, Value]:
-        """Both sides at one substitution (vectors in ``variables`` order)."""
+        """Both sides at one substitution (vectors in ``variables`` order).
+
+        A column program given a vector for its ``_`` slot applies its
+        operator sides to it; given one vector fewer, it returns them.
+        """
         r = [*args, *[None] * (self.size - len(args))]
         # a step's level is at least its operands', so no step of runs[0]
         # uses one of inner
         for out, step in (*self.runs[0], *self.inner):
             r[out] = step(A, r)
         left, right = r[self.lhs], r[self.rhs]
-        return (left.apply(args[-1]), right.apply(args[-1])) if self.column else (left, right)
+        if self.column and len(args) == self.nvars:
+            left, right = left.apply(args[-1]), right.apply(args[-1])
+        if self.scale != 1:
+            left, right = self.scale * left, self.scale * right
+        return left, right
 
     def scan(self, A: Algebra, options: Sequence[Sequence[Vector]], start: int, stop: int,
-             exhaustive: bool) -> tuple[int | None, int, tuple[Vector, ...] | None]:
+             exhaustive: bool) -> tuple[int | None, int, int, tuple[Vector, ...] | None]:
         """Scan substitutions [start, stop) of the product of ``options``.
 
-        ``options`` holds one option list per variable, the last variable
-        fastest, and ``stop`` is at most the product's length.  Returns the
-        first violating stream index (or None), the number of violations and
-        the substitution at that index (or None); without ``exhaustive`` the
-        scan ends at the first violation.  A column program compares column i
-        of its operator sides where a vector program compares the sides at i.
+        ``options`` holds one option list per slot, the last slot fastest,
+        and ``stop`` is at most the product's length.  Returns the first
+        violating stream index (or None), the number of violations, the
+        number of *prefixes* (values of every slot but the last) that hold
+        one, and the substitution at the first index (or None); without
+        ``exhaustive`` the scan ends at the first violation.  A column
+        program compares column i of its operator sides where a vector
+        program compares the sides at i.
         """
         if start >= stop:
-            return None, 0, None
+            return None, 0, 0, None
         n, runs, inner, lhs, rhs = self.nvars, self.runs, self.inner, self.lhs, self.rhs
         if not n:
             left, right = self.evaluate(A, ())
-            return (None, 0, None) if left == right else (start, 1, ())
-        idx = [0] * n  # the current option index of each variable
+            return (None, 0, 0, None) if left == right else (start, 1, 1, ())
+        idx = [0] * n  # the current option index of each slot
         rem = start
         for k in reversed(range(n)):
             rem, idx[k] = divmod(rem, len(options[k]))
         r = [options[k][i] for k, i in enumerate(idx)] + [None] * (self.size - n)
         last = n - 1
         fastest = options[last]
-        first, nviol, args, level = None, 0, None, 0
+        first, nviol, nprefixes, args, level = None, 0, 0, None, 0
         base = start - idx[last]  # stream index of the block's first option
         while True:
             for out, step in runs[level]:
@@ -512,13 +561,14 @@ class Program:
                 if first is None:
                     first, args = base + bad[0], (*r[:last], fastest[bad[0]])
                 if not exhaustive:
-                    return first, 1, args
+                    return first, 1, 1, args
                 nviol += len(bad)
+                nprefixes += 1
             base += len(fastest)
             if base >= stop:
-                return first, nviol, args
+                return first, nviol, nprefixes, args
             idx[last] = 0
-            k = last - 1  # carry into the slower variables
+            k = last - 1  # carry into the slower slots
             while idx[k] + 1 == len(options[k]):
                 idx[k] = 0
                 r[k] = options[k][0]
@@ -526,6 +576,24 @@ class Program:
             idx[k] += 1
             r[k] = options[k][idx[k]]
             level = k + 1
+
+
+def _top_coefficient(term: Expr) -> tuple[Scalar, Expr]:
+    """An additive term as (coefficient, the term without its outer scales)."""
+    c: Scalar = 1
+    while isinstance(term, Scale):
+        c, term = c * term.coeff, term.child
+    return c, term
+
+
+def _integral(side: Expr, lcm: int) -> Expr:
+    """``side`` with each top-level coefficient multiplied by ``lcm``."""
+    terms = []
+    for t in _additive_terms(side):
+        c, core = _top_coefficient(t)
+        c = int(c * lcm)
+        terms.append(core if c == 1 else Scale(c, core))
+    return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
 
 def _compile(ast: IdentityAst) -> Program:
@@ -538,13 +606,21 @@ def _compile(ast: IdentityAst) -> Program:
     value the last argument takes before ``a`` or ``b`` change.
     """
     nvars = len(ast.variables)
-    v = Var(ast.variables[-1]) if nvars else None
-    column = v is not None and all(  # a literal 0 may follow a minus
-        _in_column(t, v) or t in (Sum(()), Scale(-1, Sum(())))
-        for side in (ast.lhs, ast.rhs) for t in _additive_terms(side))
-    leaf = v if column else Column()  # compiled as the identity operator
+    sides = (ast.lhs, ast.rhs)
+    multiplicities = ast.multiplicities
+    if any(isinstance(n, Column) for side in sides for n in _walk(side)):
+        leaf, column, multiplicities = Column(), True, (*multiplicities, 1)
+    else:
+        leaf = Var(ast.variables[-1]) if nvars else None
+        column = leaf is not None and all(  # a literal 0 may follow a minus
+            _in_column(t, leaf) or t in (Sum(()), Scale(-1, Sum(())))
+            for side in sides for t in _additive_terms(side))
+    lcm = math.lcm(*(Fraction(_top_coefficient(t)[0]).denominator
+                     for side in sides for t in _additive_terms(side)))
+    if lcm != 1:
+        sides = tuple(_integral(side, lcm) for side in sides)
     index = {name: i for i, name in enumerate(ast.variables)}
-    levels = list(range(1, nvars + 1))  # register -> level
+    levels = list(range(1, len(multiplicities) + 1))  # register -> level
     steps = []
     # (maker, constants, operands) -> register: a repeated subterm runs once
     registers: dict[tuple, int] = {}
@@ -559,7 +635,7 @@ def _compile(ast: IdentityAst) -> Program:
 
     def compile_node(node: Expr, zero: type) -> tuple[int, bool]:
         """The register of ``node`` and whether it holds an operator."""
-        if node == leaf:
+        if column and node == leaf:
             return emit(_identity_step, ()), True
         if isinstance(node, Var):
             return index[node.name], False
@@ -579,7 +655,7 @@ def _compile(ast: IdentityAst) -> Program:
         *front, last = node.args
         front = tuple(compile_node(a, Vector)[0] for a in front)
         linear = _left_translation_step if len(front) == 1 else _sixfold_yamagutian_step
-        if last == leaf:
+        if column and last == leaf:
             return emit(linear, front), True
         reg, is_operator = compile_node(last, Vector)
         if is_operator:
@@ -588,10 +664,53 @@ def _compile(ast: IdentityAst) -> Program:
             return emit(_apply_step, (emit(linear, front), reg)), False
         return emit(_bracket_step if len(front) == 1 else _yamaguti_step, (*front, reg)), False
 
-    zero = Operator if column or ast.level == "operator" else Vector
-    lhs = compile_node(ast.lhs, zero)[0]
-    rhs = compile_node(ast.rhs, zero)[0]
-    return Program(nvars, steps, levels, lhs, rhs, column)
+    zero = Operator if column else Vector
+    lhs, rhs = (compile_node(side, zero)[0] for side in sides)
+    return Program(multiplicities, steps, levels, lhs, rhs, column,
+                   Fraction(1, lcm) if lcm != 1 else 1)
+
+
+class _TooLarge(Exception):
+    pass
+
+
+def _expand(node: Expr, names: Mapping[str, str]) -> dict[str, Scalar]:
+    """``node`` as {monomial: coefficient}, brackets kept as free symbols."""
+    if isinstance(node, Var):
+        return {names[node.name]: 1}
+    if isinstance(node, Column):
+        return {"_": 1}
+    if isinstance(node, Scale):
+        return {m: node.coeff * c for m, c in _expand(node.child, names).items()}
+    if isinstance(node, Sum):
+        out: dict[str, Scalar] = {}
+        for t in node.terms:
+            for m, c in _expand(t, names).items():
+                out[m] = out.get(m, 0) + c
+        return out
+    args = [_expand(a, names) for a in node.args]
+    if math.prod(map(len, args)) > MAX_MONOMIALS:
+        raise _TooLarge
+    return {"[" + ",".join(m for m, _ in mono) + "]": math.prod(c for _, c in mono)
+            for mono in product(*(a.items() for a in args))}
+
+
+def _key(ast: IdentityAst) -> tuple | IdentityAst:
+    plan = ast.plan
+    names = {name: f"v{i}" for i, name in enumerate(ast.variables)}
+    if plan.column and plan.nvars == len(ast.variables):  # the last variable is "_"
+        names[ast.variables[-1]] = "_"
+    try:
+        poly = _expand(ast.lhs, names)
+        for m, c in _expand(ast.rhs, names).items():
+            poly[m] = poly.get(m, 0) - c
+    except _TooLarge:
+        return ast
+    terms = sorted((m, c) for m, c in poly.items() if c)
+    if terms:
+        lead = Fraction(terms[0][1])
+        terms = [(m, _canonical(c / lead)) for m, c in terms]
+    return tuple(terms), plan.multiplicities, plan.column
 
 
 def eval_ast(A: Algebra, ast: IdentityAst,
@@ -621,5 +740,5 @@ def check_identity(A: Algebra, ast: IdentityAst, *, exhaustive: bool = False,
     def evaluate(A, args):
         return eval_ast(A, ast, dict(zip(ast.variables, args)))
 
-    return checker.run_check(A, format_identity(ast), ast, evaluate, 1,
+    return checker.run_check(A, format_identity(ast), ast, evaluate,
                              exhaustive=exhaustive, workers=workers)

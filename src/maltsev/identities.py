@@ -1,18 +1,17 @@
 """The builtin identity suite, as DSL text.
 
 Every builtin is one line of the identity grammar (see :mod:`.dsl`) plus a
-display formula and a report scale.  Its variables, multiplicities, level
-and evaluator are derived from the parsed text when this module is
-imported, so builtin and user identities run through the same compiled
-evaluator.  A text that uses the column variable ``_`` is an operator
-identity, and its counterexample sides are reported as matrices.
+display formula.  Its variables, multiplicities and level are read from
+the parsed text, and its evaluator is the text's compiled program, so
+builtin and user identities run through the same compiled evaluator.  A
+text that uses the column variable ``_`` is an operator identity, and its
+counterexample sides are reported as matrices.
 
-Identities involving the Yamagutian are stated in a 6-scaled integer form:
-``[x,y,_]`` is ``6Y(x;y)``.  ``report_scale`` restores the stated sides for
-counterexample reporting; equality is unaffected by a nonzero global scale.
-``derivation`` and ``ternary-derivation`` are the Sagle-Yamaguti and
-glts-f texts for that reason: ``Y(x;y)`` applied to a vector ``u`` is
-``(1/6)[x,y,u]``.
+Identities involving the Yamagutian are written with ``Y(x;y) = 1/6*[x,y,_]``
+and ``Y(x;y)u = 1/6*[x,y,u]``, so their reports carry the stated sides; the
+compiler clears the ``1/6`` before scanning.  ``derivation`` and
+``ternary-derivation`` are then the Sagle-Yamaguti and glts-f texts times
+``1/6``, and share their scans (see :mod:`.checker`).
 
 ``jacobi`` is a Lie-ness diagnostic: genuinely Mal'tsev algebras fail it,
 so it is not part of the default "all" selection.
@@ -21,46 +20,47 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .core import Scalar
 from .dsl import IdentityAst, parse_identity
 
 
 @dataclass(frozen=True)
 class BuiltinIdentity:
     id: str
-    variables: tuple[str, ...]
-    multiplicities: tuple[int, ...]
-    level: str  # "vector" or "operator"
     formula: str  # the identity as stated, for display
     # (algebra, substituted vectors) -> (lhs, rhs) at one substitution: the
     # compiled dsl_text.  The checker scans the stream with ``ast.plan`` and
     # calls this only to re-evaluate a counterexample.
     evaluate: Callable
     dsl_text: str
-    # True sides = report_scale * evaluated sides (the text may be scaled to
-    # keep the arithmetic integral).
-    report_scale: Scalar = 1
     ast: IdentityAst = field(kw_only=True, repr=False, compare=False)  # dsl_text parsed
+
+    @property
+    def variables(self) -> tuple[str, ...]:
+        return self.ast.variables
+
+    @property
+    def multiplicities(self) -> tuple[int, ...]:
+        return self.ast.multiplicities
+
+    @property
+    def level(self) -> str:
+        """``"vector"`` or ``"operator"``."""
+        return self.ast.level
 
     @property
     def arity(self) -> int:
         return len(self.variables)
 
 
-def _builtin(id: str, formula: str, dsl_text: str, report_scale: Scalar = 1) -> BuiltinIdentity:
+def _builtin(id: str, formula: str, dsl_text: str) -> BuiltinIdentity:
     ast = parse_identity(dsl_text)
 
     def evaluate(A, args):  # compiles the text on first use, not at import
         return ast.plan.evaluate(A, args)
 
-    return BuiltinIdentity(id=id, variables=ast.variables, multiplicities=ast.multiplicities,
-                           level=ast.level, formula=formula, evaluate=evaluate,
-                           dsl_text=dsl_text, report_scale=report_scale, ast=ast)
-
-
-_SIXTH = Fraction(1, 6)
+    return BuiltinIdentity(id=id, formula=formula, evaluate=evaluate, dsl_text=dsl_text,
+                           ast=ast)
 
 _IDENTITIES = (
     _builtin(
@@ -96,20 +96,17 @@ _IDENTITIES = (
     _builtin(
         id="yamagutian-antisymmetry",
         formula="Y(x;y) = -Y(y;x)",
-        dsl_text="[x,y,_] = -1*[y,x,_]",
-        report_scale=_SIXTH,
+        dsl_text="1/6*[x,y,_] = -1/6*[y,x,_]",
     ),
     _builtin(
         id="yamagutian-constraint",
         formula="Y([x,y];z) + Y([y,z];x) + Y([z,x];y) = 0",
-        dsl_text="[[x,y],z,_] + [[y,z],x,_] + [[z,x],y,_] = 0",
-        report_scale=_SIXTH,
+        dsl_text="1/6*[[x,y],z,_] + 1/6*[[y,z],x,_] + 1/6*[[z,x],y,_] = 0",
     ),
     _builtin(
         id="derivation",
         formula="Y(x;y)[z,w] = [Y(x;y)z,w] + [z,Y(x;y)w]",
-        dsl_text="[x,y,[z,w]] = [[x,y,z],w] + [z,[x,y,w]]",
-        report_scale=_SIXTH,
+        dsl_text="1/6*[x,y,[z,w]] = 1/6*[[x,y,z],w] + 1/6*[z,[x,y,w]]",
     ),
     _builtin(
         id="reductivity",
@@ -119,14 +116,14 @@ _IDENTITIES = (
     _builtin(
         id="hidden-assoc-operator",
         formula="6[Y(x;y), Y(z;w)] = Y([x,y,z];w) + Y(z;[x,y,w])",
-        dsl_text="[x,y,[z,w,_]] - [z,w,[x,y,_]] = [[x,y,z],w,_] + [z,[x,y,w],_]",
-        report_scale=_SIXTH,
+        dsl_text="1/6*[x,y,[z,w,_]] - 1/6*[z,w,[x,y,_]] "
+                 "= 1/6*[[x,y,z],w,_] + 1/6*[z,[x,y,w],_]",
     ),
     _builtin(
         id="ternary-derivation",
         formula="Y(x;y)[z,w,v] = [Y(x;y)z,w,v] + [z,Y(x;y)w,v] + [z,w,Y(x;y)v]",
-        dsl_text="[x,y,[z,w,v]] = [[x,y,z],w,v] + [z,[x,y,w],v] + [z,w,[x,y,v]]",
-        report_scale=_SIXTH,
+        dsl_text="1/6*[x,y,[z,w,v]] "
+                 "= 1/6*[[x,y,z],w,v] + 1/6*[z,[x,y,w],v] + 1/6*[z,w,[x,y,v]]",
     ),
     _builtin(
         id="maltsev",

@@ -5,7 +5,8 @@ primitives, independently of its DSL text and of the compiled evaluator,
 and :func:`check` scans the substitution stream one substitution at a time.
 Operator identities use ``operator_commutator``, ``left_translation`` and
 ``sixfold_yamagutian`` directly; the derivation laws apply ``6Y(x;y)`` as a
-matrix.
+matrix, and ``ORACLE`` holds the scale that turns their sides into the
+stated ones, applied to the reported counterexample only.
 
 :func:`eval_side` evaluates any parsed identity by recursion over its AST,
 and :func:`check_ast` scans with it one substitution at a time: no
@@ -26,7 +27,7 @@ from maltsev import (
     substitution_options,
     yamaguti,
 )
-from maltsev.dsl import Bracket, Column, Scale, Sum, Var
+from maltsev.dsl import Bracket, Column, IdentityAst, Scale, Sum, Var
 
 
 def _ev_anticommutativity(A, a):
@@ -137,7 +138,7 @@ def _ev_jacobi(A, a):
 
 _SIXTH = Fraction(1, 6)
 
-# id -> (variables, multiplicities, report_scale, evaluator)
+# id -> (variables, multiplicities, scale of the stated sides, evaluator)
 ORACLE = {
     "anticommutativity": ("xy", (1, 1), 1, _ev_anticommutativity),
     "ternary-antisymmetry": ("xyz", (1, 1, 1), 1, _ev_ternary_antisymmetry),
@@ -229,7 +230,7 @@ def violations(A, ast, *, exhaustive=True):
     return bad, count
 
 
-def check_ast(A, ast, label, *, scale=1, exhaustive=False, scanned=None) -> CheckReport:
+def check_ast(A, ast, label, *, exhaustive=False, scanned=None) -> CheckReport:
     """The report ``run_check`` must give for ``ast``, from :func:`violations`.
 
     ``scanned`` may pass in the result of an earlier :func:`violations` call.
@@ -239,9 +240,30 @@ def check_ast(A, ast, label, *, scale=1, exhaustive=False, scanned=None) -> Chec
     if bad:
         index, args, lhs, rhs = bad[0]
         first = Counterexample(substitution=tuple(zip(ast.variables, args)),
-                               left=scale * lhs, right=scale * rhs)
+                               left=lhs, right=rhs)
         if not exhaustive:
             count = index + 1
     return CheckReport(
         identity=label, algebra=A.name, holds=not bad, substitutions_checked=count,
         counterexample=first, violations=len(bad) if exhaustive else None)
+
+
+def column_twin(ast, name="col"):
+    """The vector identity with a new last variable ``name`` in place of ``_``.
+
+    Its stream is the operator identity's substitutions, each followed by
+    ``name = e_0 ... e_{d-1}``: the stream a column program scans.
+    """
+    def swap(node):
+        if isinstance(node, Column):
+            return Var(name)
+        if isinstance(node, Scale):
+            return Scale(node.coeff, swap(node.child))
+        if isinstance(node, Sum):
+            return Sum(tuple(map(swap, node.terms)))
+        if isinstance(node, Bracket):
+            return Bracket(tuple(map(swap, node.args)))
+        return node
+
+    return IdentityAst((*ast.variables, name), (*ast.multiplicities, 1),
+                       swap(ast.lhs), swap(ast.rhs))

@@ -49,6 +49,11 @@ def random_algebra(rng: random.Random, dim: int, index: int = 0) -> Algebra:
                    brackets)
 
 
+def fresh(A: Algebra) -> Algebra:
+    """A new algebra equal to ``A``: no ternary table, no stored scans."""
+    return Algebra(A.name, A.basis, dict(A.pairs()))
+
+
 def package_env() -> dict:
     """Environment for a child ``python`` that imports this same maltsev."""
     src = str(Path(maltsev.__file__).resolve().parent.parent)

@@ -284,6 +284,10 @@ _OPERATOR_TEXTS = [ident.dsl_text for ident in BUILTIN_IDENTITIES.values()
     "2*_ - 1/3*[x,_] = [x,[y,_]]",
     "_ = _",
     "0 = [[x,y],[x,_]]",
+    # operator builtins without their 1/6
+    "[x,y,_] = -1*[y,x,_]",
+    "[[x,y],z,_] + [[y,z],x,_] + [[z,x],y,_] = 0",
+    "[x,y,[z,w,_]] - [z,w,[x,y,_]] = [[x,y,z],w,_] + [z,[x,y,w],_]",
 ]
 
 

@@ -7,13 +7,13 @@ every substitution.  The two must agree on every report field, in both
 modes, and the program's scan must agree on every chunk range a pool
 would use, down to the substitution it returns as the first violation.
 """
+import math
 import random
 from functools import lru_cache, partial
 
 import pytest
 
-from maltsev import (Vector, builtin, check_builtin, check_identity, substitution_count,
-                     substitution_options)
+from maltsev import Vector, builtin, check_builtin, check_identity, substitution_options
 from maltsev import checker
 from maltsev.catalog import full_catalog
 from maltsev.cli import main
@@ -21,7 +21,7 @@ from maltsev.dsl import format_identity, parse_identity
 from maltsev.identities import BUILTIN_IDENTITIES
 
 from . import oracle
-from .support import (RANDOM_ALGEBRA_SEED, RANDOM_VECTOR_SEED, random_algebra,
+from .support import (RANDOM_ALGEBRA_SEED, RANDOM_VECTOR_SEED, fresh, random_algebra,
                       random_dim3_algebras, random_vector)
 from .test_checker import _InlinePool
 
@@ -58,6 +58,9 @@ EDGE_TEXTS = (
 # the builtins whose last variable the compiler takes as the column variable
 COLUMN_BUILTINS = {"glts-f", "ternary-derivation", "sagle-yamaguti", "derivation",
                    "glts-d", "ternary-antisymmetry"}
+# the builtins that use "_"; they compile into column programs too
+OPERATOR_BUILTINS = {"yamagutian-antisymmetry", "yamagutian-constraint", "reductivity",
+                     "hidden-assoc-operator"}
 
 
 def _algebras():
@@ -71,17 +74,16 @@ DIM3 = random_dim3_algebras(100, RANDOM_ALGEBRA_SEED)
 
 
 def _cases():
-    """(check, ast, label, report scale) for every builtin and edge text.
+    """(check, ast, label) for every builtin and edge text.
 
     ``check(A, exhaustive=...)`` runs the case through its public entry point.
     """
     out = []
     for ident in BUILTIN_IDENTITIES.values():
-        out.append((partial(check_builtin, identity_id=ident.id), ident.ast, ident.id,
-                    ident.report_scale))
+        out.append((partial(check_builtin, identity_id=ident.id), ident.ast, ident.id))
     for text in EDGE_TEXTS:
         ast = parse_identity(text)
-        out.append((partial(check_identity, ast=ast), ast, format_identity(ast), 1))
+        out.append((partial(check_identity, ast=ast), ast, format_identity(ast)))
     return out
 
 
@@ -97,10 +99,9 @@ def _scanned(A, ast):
 def _mismatches(algebras, exhaustive):
     bad = []
     for A in algebras:
-        for check, ast, label, scale in CASES:
+        for check, ast, label in CASES:
             scanned = _scanned(A, ast) if exhaustive else None
-            want = oracle.check_ast(A, ast, label, scale=scale, exhaustive=exhaustive,
-                                    scanned=scanned)
+            want = oracle.check_ast(A, ast, label, exhaustive=exhaustive, scanned=scanned)
             if check(A, exhaustive=exhaustive) != want:
                 bad.append(f"{label} on {A.name}")
     return bad
@@ -142,58 +143,91 @@ def _ranges(total, fastest):
 @lru_cache(maxsize=None)
 def _chunk_scans(ast):
     """For every chunk range on four small algebras: the range, the oracle's
-    violating substitutions in it ({index: args}) and the scan's triples in
-    exhaustive and first-violation mode."""
+    violating substitutions in it ({index: args}), the length of the last
+    slot's option list and the scan's results in exhaustive and
+    first-violation mode.  An operator identity's program scans the stream
+    of its column twin."""
+    stream_ast = oracle.column_twin(ast) if ast.level == "operator" else ast
     out = []
     for A in SMALL:
         if A.name not in ("so3", "nc3", "rand3-0", "rand4-1"):
             continue
-        bad = {v[0]: v[1] for v in _scanned(A, ast)[0]}
-        options = [substitution_options(A.dim, m) for m in ast.multiplicities]
-        fastest = A.dim if ast.variables else 1
-        for start, stop in _ranges(substitution_count(A.dim, ast.multiplicities), fastest):
+        bad = {v[0]: v[1] for v in _scanned(A, stream_ast)[0]}
+        options = [substitution_options(A.dim, m) for m in ast.plan.multiplicities]
+        width = len(options[-1]) if options else 1
+        for start, stop in _ranges(math.prod(map(len, options)), width):
             inside = {i: args for i, args in bad.items() if start <= i < stop}
-            out.append((start, stop, inside, ast.plan.scan(A, options, start, stop, True),
+            out.append((start, stop, inside, width,
+                        ast.plan.scan(A, options, start, stop, True),
                         ast.plan.scan(A, options, start, stop, False)))
     return out
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c[2] for c in CASES])
 def test_scan_matches_the_oracle_on_every_chunk_range(case):
-    for start, stop, inside, exhaustive, short in _chunk_scans(case[1]):
+    for start, stop, inside, width, exhaustive, short in _chunk_scans(case[1]):
         first = min(inside, default=None)
-        assert exhaustive[:2] == (first, len(inside))
-        assert short[:2] == (first, min(1, len(inside)))
+        prefixes = {i // width for i in inside}
+        assert exhaustive[:3] == (first, len(inside), len(prefixes))
+        assert short[:3] == (first, min(1, len(inside)), min(1, len(inside)))
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c[2] for c in CASES])
 def test_scan_returns_the_oracle_substitution_at_first(case):
-    for start, stop, inside, exhaustive, short in _chunk_scans(case[1]):
+    for start, stop, inside, width, exhaustive, short in _chunk_scans(case[1]):
         witness = inside[min(inside)] if inside else None
-        assert exhaustive[2] == witness, (start, stop)
-        assert short[2] == witness, (start, stop)
+        assert exhaustive[3] == witness, (start, stop)
+        assert short[3] == witness, (start, stop)
 
 
 @pytest.mark.parametrize("workers", [2, 3, 4])
 def test_pooled_reports_match_the_oracle(monkeypatch, workers):
+    # each check runs on a fresh copy, so no stored scan stands in for the pool
     monkeypatch.setattr(checker, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(_InlinePool, "sizes", [])
     dim4 = [A for A in SMALL if A.dim == 4]
     for A in dim4:
         for ident_id in ("glts-f", "ternary-derivation", "hidden-assoc-operator", "glts-d"):
             ident = BUILTIN_IDENTITIES[ident_id]
             for exhaustive in (False, True):
-                want = oracle.check_ast(A, ident.ast, ident_id, scale=ident.report_scale,
-                                        exhaustive=exhaustive, scanned=_scanned(A, ident.ast))
-                got = check_builtin(A, ident_id, exhaustive=exhaustive, workers=workers)
+                want = oracle.check_ast(A, ident.ast, ident_id, exhaustive=exhaustive,
+                                        scanned=_scanned(A, ident.ast))
+                monkeypatch.setattr(_InlinePool, "sizes", [])
+                got = check_builtin(fresh(A), ident_id, exhaustive=exhaustive, workers=workers)
                 assert got == want
-    assert _InlinePool.sizes  # the pooled path ran
+                assert _InlinePool.sizes  # the pooled path ran
+
+
+# operator builtin -> its vector twin
+POOLED_TWINS = {"hidden-assoc-operator": "glts-f", "reductivity": "sagle-yamaguti",
+                "yamagutian-constraint": "glts-d"}
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_pooled_operator_twin_counts_match_the_oracle(monkeypatch, workers):
+    # whichever twin is checked first runs the pool, even on fewer than
+    # _PARALLEL_MIN substitutions; the other reads its scan
+    monkeypatch.setattr(checker, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(checker, "_PARALLEL_MIN", 1)
+    for A in [A for A in SMALL if A.dim == 4]:
+        for pair in POOLED_TWINS.items():
+            for order in (pair, pair[::-1]):
+                B = fresh(A)
+                monkeypatch.setattr(_InlinePool, "sizes", [])
+                for ident_id in order:
+                    ident = BUILTIN_IDENTITIES[ident_id]
+                    want = oracle.check_ast(A, ident.ast, ident_id, exhaustive=True,
+                                            scanned=_scanned(A, ident.ast))
+                    assert check_builtin(B, ident_id, exhaustive=True, workers=workers) == want
+                assert len(_InlinePool.sizes) == 1, order
 
 
 def test_column_scan_is_taken_by_exactly_the_linear_builtins():
-    column = {i.id for i in BUILTIN_IDENTITIES.values() if i.ast.plan.inner == ()}
-    assert column == COLUMN_BUILTINS
-    assert all(i.ast.plan.column == (i.id in COLUMN_BUILTINS)
+    # vector builtins linear in their last variable, and every operator builtin
+    column = {i.id for i in BUILTIN_IDENTITIES.values() if i.ast.plan.column}
+    assert column == COLUMN_BUILTINS | OPERATOR_BUILTINS
+    assert {i.id for i in BUILTIN_IDENTITIES.values() if i.level == "operator"} \
+        == OPERATOR_BUILTINS
+    assert all((i.ast.plan.inner == ()) == (i.id in column)
                for i in BUILTIN_IDENTITIES.values())
 
 
@@ -213,7 +247,7 @@ def test_column_scan_eligibility_at_the_boundary(text, column):
 def test_column_programs_evaluate_like_the_oracle_at_random_vectors():
     # the sides are operators in the last variable, applied to it: exact at
     # any rational vector, not only at the basis vectors the scan compares
-    asts = [case[1] for case in CASES if case[1].plan.column]
+    asts = [case[1] for case in CASES if case[1].plan.column and case[1].level == "vector"]
     assert len(asts) == len(COLUMN_BUILTINS) + 7
     rng = random.Random(RANDOM_VECTOR_SEED)
     for A in SMALL:
