@@ -21,7 +21,6 @@ from .checker import (
     check_glts,
     substitution_count,
     substitution_options,
-    substitution_stream,
 )
 from .core import (
     Algebra,
@@ -98,7 +97,6 @@ __all__ = [
     "sixfold_yamagutian",
     "substitution_count",
     "substitution_options",
-    "substitution_stream",
     "yamagutian",
     "yamaguti",
 ]

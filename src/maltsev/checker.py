@@ -10,7 +10,10 @@ worker count.
 
 :func:`run_check` takes a parsed identity and scans with its compiled
 program, which hands back the first violating substitution for the report;
-pool workers receive the identity as text and parse it once each.
+pool workers receive the identity as text and parse it once each.  The
+program visits only the canonical substitutions of its antisymmetric blocks
+(see :mod:`.dsl`); pool chunks are still ranges of the whole stream, and
+the chunk holding the first violation finds it.
 
 Each algebra keeps the result of every scan run on it, by the identity's
 key (``IdentityAst.key``) and mode, so identities that are the same bracket
@@ -27,8 +30,9 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Callable, Iterator, Sequence
+from functools import lru_cache
+from itertools import combinations
+from typing import Callable, Sequence
 
 from . import dsl
 from .core import Algebra, Operator, Vector, format_rational
@@ -67,9 +71,10 @@ def substitution_count(dim: int, multiplicities: Sequence[int]) -> int:
     return math.prod(per_var)
 
 
-def substitution_stream(dim: int, multiplicities: Sequence[int]) -> Iterator[tuple[Vector, ...]]:
-    """Cartesian product of per-variable options, last variable fastest."""
-    return product(*[substitution_options(dim, m) for m in multiplicities])
+@lru_cache(maxsize=8)
+def _options(dim: int, multiplicity: int) -> tuple[Vector, ...]:
+    """:func:`substitution_options`, built once per (dim, multiplicity)."""
+    return tuple(substitution_options(dim, multiplicity))
 
 
 @dataclass(frozen=True)
@@ -134,7 +139,7 @@ _worker: tuple = ()  # (algebra, compiled program, option lists), set by _init_w
 def _init_worker(A: Algebra, text: str) -> None:
     global _worker
     plan = dsl.parse_identity(text).plan
-    _worker = (A, plan, [substitution_options(A.dim, m) for m in plan.multiplicities])
+    _worker = (A, plan, [_options(A.dim, m) for m in plan.multiplicities])
 
 
 def _scan_chunk(start: int, stop: int, exhaustive: bool):
@@ -158,7 +163,7 @@ def _scan(A: Algebra, ast: dsl.IdentityAst, exhaustive: bool, workers: int) -> t
     """:meth:`dsl.Program.scan` of ``ast`` over its whole stream, serial or
     pooled, and the stream's length."""
     plan = ast.plan
-    options = [substitution_options(A.dim, m) for m in plan.multiplicities]
+    options = [_options(A.dim, m) for m in plan.multiplicities]
     total = math.prod(map(len, options))
     # the pool starts at _PARALLEL_MIN substitutions; an operator identity's
     # stream holds dim columns per substitution
@@ -187,7 +192,7 @@ def _substitution(A: Algebra, plan: dsl.Program, index: int) -> tuple[Vector, ..
     """The substitution at ``index`` of ``plan``'s stream."""
     args = []
     for m in reversed(plan.multiplicities):
-        options = substitution_options(A.dim, m)
+        options = _options(A.dim, m)
         index, i = divmod(index, len(options))
         args.append(options[i])
     return tuple(reversed(args))

@@ -69,10 +69,23 @@ whose last variable is its ``_`` (its *twin*) share one scan, and so do
 expansion would exceed :data:`MAX_MONOMIALS` monomials is not expanded; it
 is its own key, so the key costs at most about that much per bracket.
 Builtin and user identities are checked through that one program.
+
+``Program.blocks`` are the key's *antisymmetric blocks*: sets of variables,
+none of them column-compiled, any two of which negate the key's polynomial
+when swapped, once it is reduced modulo ``[a,b] = -[b,a]`` and
+``[a,b,c] = -[b,a,c]``, as every :class:`Algebra` is.  The violations are
+then closed under permuting each block, and none gives two variables of a
+block equal values, since there LHS - RHS equals its negative.  So a scan
+visits only the *canonical* substitutions, whose option indices increase
+along each block, and counts each violation it finds as its orbit of
+``Program.orbit`` (the product of the blocks' factorials).  A violation's
+first orbit member in stream order is canonical, so the first violation
+and every report stay those of the unreduced scan.
 """
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -138,14 +151,11 @@ class IdentityAst:
     lhs: Expr
     rhs: Expr
 
-    @property
+    @cached_property
     def level(self) -> str:
-        """``"operator"`` when the identity uses ``_``, else ``"vector"``.
-
-        Read from the program: ``_`` takes a slot after the variables.
-        """
-        plan = self.plan
-        return "operator" if plan.nvars > len(self.variables) else "vector"
+        """``"operator"`` when the identity uses ``_``, else ``"vector"``."""
+        uses = any(isinstance(n, Column) for side in (self.lhs, self.rhs) for n in _walk(side))
+        return "operator" if uses else "vector"
 
     @cached_property
     def plan(self) -> Program:
@@ -478,10 +488,15 @@ class Program:
     *column* program's last slot is ``_``: its sides are operators, no step
     reads that slot, and ``inner`` is empty.  The program's top-level
     coefficients are ``L`` times the text's, and ``scale`` is ``1/L``.
+
+    ``blocks`` holds the *antisymmetric blocks*: tuples of slots, in slot
+    order, such that swapping the values of any two slots of a block
+    negates LHS - RHS in every anticommutative algebra (see ``_blocks``).
     """
 
     def __init__(self, multiplicities: Sequence[int], steps: Sequence[tuple[int, Callable]],
-                 levels: Sequence[int], lhs: int, rhs: int, column: bool, scale: Scalar):
+                 levels: Sequence[int], lhs: int, rhs: int, column: bool, scale: Scalar,
+                 blocks: Sequence[tuple[int, ...]]):
         self.multiplicities = tuple(multiplicities)
         self.nvars = nvars = len(self.multiplicities)
         self.column = column
@@ -494,6 +509,16 @@ class Program:
         self.runs = tuple(tuple(s for s in steps if k <= levels[s[0]] < nvars)
                           for k in range(nvars + 1))
         self.inner = tuple(s for s in steps if levels[s[0]] == nvars)
+        self.blocks = tuple(blocks)
+        # prev[k]: the slot before k in its block, or -1; after[k]: the
+        # number of slots after k in its block
+        self.prev, self.after = [-1] * nvars, [0] * nvars
+        for block in self.blocks:
+            for t, k in enumerate(block):
+                if t:
+                    self.prev[k] = block[t - 1]
+                self.after[k] = len(block) - 1 - t
+        self.orbit = math.prod(math.factorial(len(b)) for b in self.blocks)
 
     def evaluate(self, A: Algebra, args: Sequence[Vector]) -> tuple[Value, Value]:
         """Both sides at one substitution (vectors in ``variables`` order).
@@ -515,16 +540,18 @@ class Program:
 
     def scan(self, A: Algebra, options: Sequence[Sequence[Vector]], start: int, stop: int,
              exhaustive: bool) -> tuple[int | None, int, int, tuple[Vector, ...] | None]:
-        """Scan substitutions [start, stop) of the product of ``options``.
+        """Scan the canonical substitutions in [start, stop) of the product of ``options``.
 
         ``options`` holds one option list per slot, the last slot fastest,
         and ``stop`` is at most the product's length.  Returns the first
-        violating stream index (or None), the number of violations, the
-        number of *prefixes* (values of every slot but the last) that hold
-        one, and the substitution at the first index (or None); without
-        ``exhaustive`` the scan ends at the first violation.  A column
-        program compares column i of its operator sides where a vector
-        program compares the sides at i.
+        canonical violating stream index (or None), the number of canonical
+        violations and of *prefixes* (values of every slot but the last)
+        holding one, each times ``orbit``, and the substitution at the first
+        index (or None); without ``exhaustive`` the scan ends at the first
+        violation.  Scans of consecutive ranges find the stream's first
+        violation, and their counts add up to the stream's (see the module
+        docstring).  A column program compares column i of its operator
+        sides where a vector program compares the sides at i.
         """
         if start >= stop:
             return None, 0, 0, None
@@ -532,15 +559,34 @@ class Program:
         if not n:
             left, right = self.evaluate(A, ())
             return (None, 0, 0, None) if left == right else (start, 1, 1, ())
+        prev = self.prev
+        top = [len(o) - 1 - a for o, a in zip(options, self.after)]  # highest canonical index
+        if min(top) < 0:  # a block has more slots than options: nothing is canonical
+            return None, 0, 0, None
+        strides = [1] * n  # stream index step of each slot
+        for k in reversed(range(n - 1)):
+            strides[k] = strides[k + 1] * len(options[k + 1])
         idx = [0] * n  # the current option index of each slot
         rem = start
         for k in reversed(range(n)):
             rem, idx[k] = divmod(rem, len(options[k]))
-        r = [options[k][i] for k, i in enumerate(idx)] + [None] * (self.size - n)
+        # move to the first canonical substitution at or after start
+        for k in range(n):
+            if idx[k] > top[k]:  # no canonical one agrees with idx on slots 0..k
+                if _advance(idx, k - 1, prev, top) < 0:
+                    return None, 0, 0, None
+                break
+            if prev[k] >= 0 and idx[k] <= idx[prev[k]]:
+                idx[k] = idx[prev[k]]  # one below the lowest canonical index
+                _advance(idx, k, prev, top)
+                break
         last = n - 1
+        base = sum(map(operator.mul, idx[:last], strides))  # stream index of the prefix
+        if base + idx[last] >= stop:
+            return None, 0, 0, None
+        r = [o[i] for o, i in zip(options, idx)] + [None] * (self.size - n)
         fastest = options[last]
         first, nviol, nprefixes, args, level = None, 0, 0, None, 0
-        base = start - idx[last]  # stream index of the block's first option
         while True:
             for out, step in runs[level]:
                 r[out] = step(A, r)
@@ -564,18 +610,29 @@ class Program:
                     return first, 1, 1, args
                 nviol += len(bad)
                 nprefixes += 1
-            base += len(fastest)
-            if base >= stop:
-                return first, nviol, nprefixes, args
-            idx[last] = 0
-            k = last - 1  # carry into the slower slots
-            while idx[k] + 1 == len(options[k]):
-                idx[k] = 0
-                r[k] = options[k][0]
-                k -= 1
-            idx[k] += 1
-            r[k] = options[k][idx[k]]
+            k = _advance(idx, last - 1, prev, top)
+            base = sum(map(operator.mul, idx[:last], strides))
+            if k < 0 or base + idx[last] >= stop:
+                return first, nviol * self.orbit, nprefixes * self.orbit, args
+            for j in range(k, last):
+                r[j] = options[j][idx[j]]
             level = k + 1
+
+
+def _advance(idx: list[int], k: int, prev: Sequence[int], top: Sequence[int]) -> int:
+    """Advance ``idx`` past every substitution that agrees with it on slots 0..k.
+
+    The slowest slot at or before k below its highest canonical index steps
+    up, and every faster slot takes its lowest one.  Returns that slot, or
+    -1 when there is none and the stream is done.
+    """
+    while k >= 0 and idx[k] >= top[k]:
+        k -= 1
+    if k >= 0:
+        idx[k] += 1
+        for j in range(k + 1, len(idx)):
+            idx[j] = idx[prev[j]] + 1 if prev[j] >= 0 else 0
+    return k
 
 
 def _top_coefficient(term: Expr) -> tuple[Scalar, Expr]:
@@ -596,6 +653,19 @@ def _integral(side: Expr, lcm: int) -> Expr:
     return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
 
+def _slots(ast: IdentityAst) -> tuple[Expr | None, tuple[int, ...]]:
+    """The column leaf (``_``, the last variable or None) and the slot multiplicities."""
+    sides = (ast.lhs, ast.rhs)
+    if any(isinstance(n, Column) for side in sides for n in _walk(side)):
+        return Column(), (*ast.multiplicities, 1)
+    leaf = Var(ast.variables[-1]) if ast.variables else None
+    if leaf is not None and all(  # a literal 0 may follow a minus
+            _in_column(t, leaf) or t in (Sum(()), Scale(-1, Sum(())))
+            for side in sides for t in _additive_terms(side)):
+        return leaf, ast.multiplicities
+    return None, ast.multiplicities
+
+
 def _compile(ast: IdentityAst) -> Program:
     """Compile both sides into one staged program.
 
@@ -605,16 +675,9 @@ def _compile(ast: IdentityAst) -> Program:
     argument; the operator's columns, filled on first use, then serve every
     value the last argument takes before ``a`` or ``b`` change.
     """
-    nvars = len(ast.variables)
     sides = (ast.lhs, ast.rhs)
-    multiplicities = ast.multiplicities
-    if any(isinstance(n, Column) for side in sides for n in _walk(side)):
-        leaf, column, multiplicities = Column(), True, (*multiplicities, 1)
-    else:
-        leaf = Var(ast.variables[-1]) if nvars else None
-        column = leaf is not None and all(  # a literal 0 may follow a minus
-            _in_column(t, leaf) or t in (Sum(()), Scale(-1, Sum(())))
-            for side in sides for t in _additive_terms(side))
+    leaf, multiplicities = _slots(ast)
+    column = leaf is not None
     lcm = math.lcm(*(Fraction(_top_coefficient(t)[0]).denominator
                      for side in sides for t in _additive_terms(side)))
     if lcm != 1:
@@ -667,15 +730,22 @@ def _compile(ast: IdentityAst) -> Program:
     zero = Operator if column else Vector
     lhs, rhs = (compile_node(side, zero)[0] for side in sides)
     return Program(multiplicities, steps, levels, lhs, rhs, column,
-                   Fraction(1, lcm) if lcm != 1 else 1)
+                   Fraction(1, lcm) if lcm != 1 else 1, _blocks(ast.key))
 
 
 class _TooLarge(Exception):
     pass
 
 
-def _expand(node: Expr, names: Mapping[str, str]) -> dict[str, Scalar]:
-    """``node`` as {monomial: coefficient}, brackets kept as free symbols."""
+Monomial = Union[str, tuple["Monomial", ...]]
+
+
+def _expand(node: Expr, names: Mapping[str, str]) -> dict[Monomial, Scalar]:
+    """``node`` as {monomial: coefficient}, brackets kept as free symbols.
+
+    A monomial is a variable's name in ``names``, ``"_"``, or a bracket: the
+    tuple of its arguments' monomials.
+    """
     if isinstance(node, Var):
         return {names[node.name]: 1}
     if isinstance(node, Column):
@@ -683,7 +753,7 @@ def _expand(node: Expr, names: Mapping[str, str]) -> dict[str, Scalar]:
     if isinstance(node, Scale):
         return {m: node.coeff * c for m, c in _expand(node.child, names).items()}
     if isinstance(node, Sum):
-        out: dict[str, Scalar] = {}
+        out: dict[Monomial, Scalar] = {}
         for t in node.terms:
             for m, c in _expand(t, names).items():
                 out[m] = out.get(m, 0) + c
@@ -691,26 +761,80 @@ def _expand(node: Expr, names: Mapping[str, str]) -> dict[str, Scalar]:
     args = [_expand(a, names) for a in node.args]
     if math.prod(map(len, args)) > MAX_MONOMIALS:
         raise _TooLarge
-    return {"[" + ",".join(m for m, _ in mono) + "]": math.prod(c for _, c in mono)
+    return {tuple(m for m, _ in mono): math.prod(c for _, c in mono)
             for mono in product(*(a.items() for a in args))}
 
 
 def _key(ast: IdentityAst) -> tuple | IdentityAst:
-    plan = ast.plan
+    leaf, multiplicities = _slots(ast)
     names = {name: f"v{i}" for i, name in enumerate(ast.variables)}
-    if plan.column and plan.nvars == len(ast.variables):  # the last variable is "_"
-        names[ast.variables[-1]] = "_"
+    if isinstance(leaf, Var):  # the last variable is "_"
+        names[leaf.name] = "_"
     try:
         poly = _expand(ast.lhs, names)
         for m, c in _expand(ast.rhs, names).items():
             poly[m] = poly.get(m, 0) - c
     except _TooLarge:
         return ast
-    terms = sorted((m, c) for m, c in poly.items() if c)
+    terms = sorted(((m, c) for m, c in poly.items() if c), key=lambda t: str(t[0]))
     if terms:
         lead = Fraction(terms[0][1])
         terms = [(m, _canonical(c / lead)) for m, c in terms]
-    return tuple(terms), plan.multiplicities, plan.column
+    return tuple(terms), multiplicities, leaf is not None
+
+
+def _reduced(monomial: Monomial, names: Mapping[str, str]) -> tuple[int, str]:
+    """``monomial`` with its variables renamed by ``names``, modulo
+    ``[a,b] = -[b,a]`` and ``[a,b,c] = -[b,a,c]``: a sign and the text whose
+    brackets have their first two arguments in increasing order.  The sign
+    is 0 when the monomial vanishes, with two equal first arguments."""
+    if isinstance(monomial, str):
+        return 1, names.get(monomial, monomial)
+    (s, a), (t, b), *rest = (_reduced(m, names) for m in monomial)
+    if a == b:
+        return 0, ""
+    sign = s * t * math.prod(u for u, _ in rest)
+    if a > b:
+        a, b, sign = b, a, -sign
+    return sign, "[" + ",".join((a, b, *(text for _, text in rest))) + "]"
+
+
+def _blocks(key: tuple | IdentityAst) -> tuple[tuple[int, ...], ...]:
+    """The antisymmetric blocks of a key's program (see :class:`Program`).
+
+    Slot k other than ``_`` is the key's variable ``v<k>``.  Two such slots
+    of equal multiplicity are antisymmetric when swapping their variables
+    maps the key's polynomial, reduced by :func:`_reduced`, to its
+    negative; a block is a class of slots whose every pair is antisymmetric.
+    Swaps compose (the swap of ``a`` and ``c`` is that of ``a`` and ``b``
+    conjugated by that of ``b`` and ``c``), so each slot joins the first
+    block whose first slot it is antisymmetric to.  An identity that is its
+    own key has no blocks.
+    """
+    if isinstance(key, IdentityAst):
+        return ()
+    terms, multiplicities, column = key
+
+    def reduced(names):
+        poly: dict[str, Scalar] = {}
+        for m, c in terms:
+            sign, text = _reduced(m, names)
+            if sign:
+                poly[text] = poly.get(text, 0) + sign * c
+        return {text: c for text, c in poly.items() if c}
+
+    minus = {text: -c for text, c in reduced({}).items()}
+    blocks: list[list[int]] = []
+    for j in range(len(multiplicities) - column):
+        for block in blocks:
+            i = block[0]
+            if (multiplicities[i] == multiplicities[j]
+                    and reduced({f"v{i}": f"v{j}", f"v{j}": f"v{i}"}) == minus):
+                block.append(j)
+                break
+        else:
+            blocks.append([j])
+    return tuple(tuple(b) for b in blocks if len(b) > 1)
 
 
 def eval_ast(A: Algebra, ast: IdentityAst,

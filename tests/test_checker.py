@@ -1,6 +1,7 @@
 import math
 import random
 from concurrent.futures import Future
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -16,7 +17,6 @@ from maltsev import (
     check_identity,
     substitution_count,
     substitution_options,
-    substitution_stream,
 )
 from maltsev import checker, dsl
 from maltsev.identities import BUILTIN_IDENTITIES, GLTS_AXIOM_IDS
@@ -44,7 +44,7 @@ def test_options_order_dim3_mult2():
 ])
 def test_substitution_counts(dim, mults, count):
     assert substitution_count(dim, mults) == count
-    assert sum(1 for _ in substitution_stream(dim, mults)) == count
+    assert sum(1 for _ in product(*(substitution_options(dim, m) for m in mults))) == count
 
 
 @given(dim=st.integers(1, 6), mults=st.lists(st.integers(1, 3), min_size=1, max_size=3))
@@ -57,7 +57,7 @@ def test_substitution_count_formula(dim, mults):
 
 
 def test_stream_is_product_order():
-    subs = list(substitution_stream(2, [1, 1]))
+    subs = list(product(substitution_options(2, 1), substitution_options(2, 1)))
     assert subs == [
         (Vector([1, 0]), Vector([1, 0])),
         (Vector([1, 0]), Vector([0, 1])),
@@ -126,7 +126,7 @@ def test_exhaustive_counts_all_violations(nc3):
 def test_scan_reads_the_stream_from_its_chunk_start(nc3):
     # every [start, stop) range finds exactly the oracle's violations in it
     evaluate = oracle.ORACLE["maltsev"][3]
-    stream = list(substitution_stream(3, (2, 1, 1)))
+    stream = list(product(*(substitution_options(3, m) for m in (2, 1, 1))))
     bad = []
     for i, args in enumerate(stream):
         lhs, rhs = evaluate(nc3, args)

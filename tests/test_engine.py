@@ -4,8 +4,11 @@
 rerunning only the steps whose variables changed and applying partial maps
 ``[a,.]``/``[a,b,.]``.  ``oracle.check_ast`` evaluates the AST afresh at
 every substitution.  The two must agree on every report field, in both
-modes, and the program's scan must agree on every chunk range a pool
-would use, down to the substitution it returns as the first violation.
+modes.  The program scans only the canonical substitutions of its
+antisymmetric blocks: on every chunk range a pool would use it must find
+the oracle's canonical violations, down to the substitution it returns as
+the first one, and over every partition into chunks its counts must add up
+to the oracle's.
 """
 import math
 import random
@@ -120,15 +123,30 @@ def test_reports_match_the_recursive_oracle_dim3_algebras():
 
 
 def test_m7_first_violation_matches_the_oracle():
-    # jacobi fails on m7; the staged scan must stop at the oracle's index
+    # jacobi fails on m7; the staged scan must stop at the oracle's index,
+    # and its reduced exhaustive count must be the oracle's
     m7 = builtin("m7")
     ident = BUILTIN_IDENTITIES["jacobi"]
     assert check_builtin(m7, "jacobi") == oracle.check_ast(m7, ident.ast, "jacobi")
+    assert (check_builtin(m7, "jacobi", exhaustive=True)
+            == oracle.check_ast(m7, ident.ast, "jacobi", exhaustive=True))
 
 
-def _ranges(total, fastest):
+def _index_of(options, idx):
+    """The stream index of the substitution with option indices ``idx``."""
+    index = 0
+    for o, i in zip(options, idx):
+        index = index * len(o) + i
+    return index
+
+
+def _ranges(options):
     """Every chunk range of workers 2-4, the same ranges started mid-prefix,
-    and some ranges that end mid-prefix."""
+    some ranges that end mid-prefix, and ranges that start off the
+    canonical substitutions: one slot at option 1 and the others at 0 (a
+    slot past the next one of its block), the first k slots at option 1
+    (equal slots mid-block), and every slot at its last option."""
+    total, fastest = math.prod(map(len, options)), len(options[-1])
     out = set()
     for workers in (2, 3, 4):
         for start, stop in checker._chunk_bounds(total, workers):
@@ -137,39 +155,66 @@ def _ranges(total, fastest):
                 if start + shift < stop:
                     out.add((start + shift, stop))
     out |= {(total // 3 + 1, 2 * total // 3 + 2), (1, total - 1), (0, total)}
+    n = len(options)
+    starts = [[1] * n, [len(o) - 1 for o in options]]
+    for k in range(n):
+        starts += [[int(j == k) for j in range(n)], [int(j <= k) for j in range(n)]]
+    for idx in starts:
+        start = _index_of(options, [min(i, len(o) - 1) for i, o in zip(idx, options)])
+        out |= {(start, total), (start, start + 2 * fastest)}
     return sorted((s, min(e, total)) for s, e in out if s < min(e, total))
+
+
+def _canonical(plan, options, index):
+    """Whether the option indices at ``index`` increase along each block."""
+    idx = []
+    for o in reversed(options):
+        index, i = divmod(index, len(o))
+        idx.append(i)
+    idx.reverse()
+    return all(idx[a] < idx[b] for block in plan.blocks for a, b in zip(block, block[1:]))
+
+
+def _stream(A, ast):
+    """The oracle's violations ({index: args}) on the stream ``ast``'s program
+    scans, and that program's option lists.  An operator identity's program
+    scans the stream of its column twin."""
+    stream_ast = oracle.column_twin(ast) if ast.level == "operator" else ast
+    bad = {v[0]: v[1] for v in _scanned(A, stream_ast)[0]}
+    return bad, [substitution_options(A.dim, m) for m in ast.plan.multiplicities]
+
+
+CHUNK_ALGEBRAS = [A for A in SMALL if A.name in ("so3", "nc3", "rand3-0", "rand4-1")]
 
 
 @lru_cache(maxsize=None)
 def _chunk_scans(ast):
     """For every chunk range on four small algebras: the range, the oracle's
-    violating substitutions in it ({index: args}), the length of the last
-    slot's option list and the scan's results in exhaustive and
-    first-violation mode.  An operator identity's program scans the stream
-    of its column twin."""
-    stream_ast = oracle.column_twin(ast) if ast.level == "operator" else ast
+    canonical violating substitutions in it ({index: args}), the length of
+    the last slot's option list and the scan's results in exhaustive and
+    first-violation mode."""
     out = []
-    for A in SMALL:
-        if A.name not in ("so3", "nc3", "rand3-0", "rand4-1"):
-            continue
-        bad = {v[0]: v[1] for v in _scanned(A, stream_ast)[0]}
-        options = [substitution_options(A.dim, m) for m in ast.plan.multiplicities]
+    plan = ast.plan
+    for A in CHUNK_ALGEBRAS:
+        bad, options = _stream(A, ast)
         width = len(options[-1]) if options else 1
-        for start, stop in _ranges(math.prod(map(len, options)), width):
-            inside = {i: args for i, args in bad.items() if start <= i < stop}
+        for start, stop in _ranges(options) if options else [(0, 1)]:
+            inside = {i: args for i, args in bad.items()
+                      if start <= i < stop and _canonical(plan, options, i)}
             out.append((start, stop, inside, width,
-                        ast.plan.scan(A, options, start, stop, True),
-                        ast.plan.scan(A, options, start, stop, False)))
+                        plan.scan(A, options, start, stop, True),
+                        plan.scan(A, options, start, stop, False)))
     return out
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c[2] for c in CASES])
 def test_scan_matches_the_oracle_on_every_chunk_range(case):
+    orbit = case[1].plan.orbit
     for start, stop, inside, width, exhaustive, short in _chunk_scans(case[1]):
         first = min(inside, default=None)
         prefixes = {i // width for i in inside}
-        assert exhaustive[:3] == (first, len(inside), len(prefixes))
-        assert short[:3] == (first, min(1, len(inside)), min(1, len(inside)))
+        assert exhaustive[:3] == (first, orbit * len(inside), orbit * len(prefixes)), (start, stop)
+        assert short[:3] == (first, min(1, len(inside)), min(1, len(inside))), (start, stop)
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c[2] for c in CASES])
@@ -178,6 +223,30 @@ def test_scan_returns_the_oracle_substitution_at_first(case):
         witness = inside[min(inside)] if inside else None
         assert exhaustive[3] == witness, (start, stop)
         assert short[3] == witness, (start, stop)
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c[2] for c in CASES])
+def test_chunk_partitions_add_up_to_the_oracle_stream(case):
+    # unreduced oracle totals: every violation and, for a column program,
+    # whose chunks never split a prefix and whose "_" is in no block, every
+    # prefix holding one
+    plan = case[1].plan
+    for A in CHUNK_ALGEBRAS:
+        bad, options = _stream(A, case[1])
+        total = math.prod(map(len, options))
+        width = len(options[-1]) if options else 1
+        first = min(bad, default=None)
+        for workers in (1, 2, 3, 4):
+            bounds = checker._chunk_bounds(total, workers, width if plan.column else 1)
+            scans = [plan.scan(A, options, s, e, True) for s, e in bounds]
+            assert sum(scan[1] for scan in scans) == len(bad), (A.name, workers)
+            if plan.column:
+                assert sum(scan[2] for scan in scans) == len({i // width for i in bad})
+            for mode in (True, False):
+                found = next((scan for s, e in bounds
+                              if (scan := plan.scan(A, options, s, e, mode))[0] is not None),
+                             (None, 0, 0, None))
+                assert (found[0], found[3]) == (first, bad.get(first)), (A.name, workers)
 
 
 @pytest.mark.parametrize("workers", [2, 3, 4])

@@ -11,7 +11,7 @@ PUBLIC_NAMES = [
     "format_vector", "full_catalog", "left_translation", "load_algebra",
     "maltsev_catalog", "operator_commutator", "parse_identity",
     "parse_identity_file", "parse_rational", "save_algebra", "sixfold_yamagutian",
-    "substitution_count", "substitution_options", "substitution_stream",
+    "substitution_count", "substitution_options",
     "yamaguti", "yamagutian",
 ]
 
