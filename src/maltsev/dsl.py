@@ -33,15 +33,16 @@ A parsed identity compiles once, on first use, into a staged straight-line
 program over registers (``IdentityAst.plan``, a :class:`Program`): the
 substituted variables first, in ``variables`` order, then one register per
 distinct subterm.  Each step has the level of the fastest-varying variable
-it depends on, so a scan of the substitution stream reruns a step only
-when one of its own variables changes.  A bracket whose last argument
-varies faster than the others is split into the operator ``l+_a`` or
-``6Y(a;b)``, built when ``a`` or ``b`` change, and an ``apply`` of it to
+it depends on, so a scan of the substitution stream reruns a step only when
+one of its own variables, or a slower one, changes.  A bracket whose last
+argument varies faster than the others is split into the operator ``l+_a``
+or ``6Y(a;b)``, built when ``a`` or ``b`` change, and an ``apply`` of it to
 the last argument; the operator fills its columns ``[a,e_l]``/``[a,b,e_l]``
-on first use.  The top-level coefficients of both sides are multiplied by
-the lcm ``L`` of their denominators, so a text such as
-``1/6*[x,y,[z,w]] = ...`` scans in integers; ``Program.evaluate`` divides
-the sides by ``L`` again.
+on first use.  Such an operator whose own variables leave out a slower one
+(``[z,w,_]`` after ``x`` and ``y``) is a *memo step* (see :class:`Program`).
+The top-level coefficients of both sides are multiplied by the lcm ``L`` of
+their denominators, so a text such as ``1/6*[x,y,[z,w]] = ...`` scans in
+integers; ``Program.evaluate`` divides the sides by ``L`` again.
 
 A *column program* compares two operator sides column by column.  An
 operator identity compiles into one whose prefix is all of its variables:
@@ -52,14 +53,19 @@ last variable ``v`` stands only where ``_`` may stand compiles with ``v`` as
 prefix, where it would compare the sides at ``v = e_l``.  By polarization
 that is exact: ``v`` has multiplicity 1, so its options are
 ``e_0 ... e_{d-1}`` in order, and each side is linear in ``v``, so its value
-at ``e_l`` is its column l.  The arithmetic is exact, so every value, count
-and first counterexample equals that of evaluating each substitution
+at ``e_l`` is its column l.  That rule is tested on the *oriented* sides:
+each binary bracket ``[a,b]`` around ``v`` whose first argument holds it is
+written ``-[b,a]``, the signs collected in the term's top-level coefficient,
+which changes no term's value in an anticommutative algebra (ternary
+brackets are not reordered).  The arithmetic is exact, so every value,
+count and first counterexample equals that of evaluating each substitution
 afresh.
 
-``IdentityAst.key`` names the scan a check needs.  LHS - RHS is expanded
-multilinearly into a sum of monomials in two free brackets, binary and
-ternary (no anticommutativity), with a column-compiled last variable written
-as ``_`` and the other variables renamed by position, then divided by its
+``IdentityAst.key`` names the scan a check needs.  LHS - RHS, oriented
+when its last variable is column-compiled, is expanded multilinearly into a
+sum of monomials in two free brackets, binary and ternary (no further
+anticommutativity), with a column-compiled last variable written as ``_``
+and the other variables renamed by position, then divided by its
 first coefficient; the key is that polynomial with the program's slot
 multiplicities and column flag.  Two identities with equal keys have sides
 whose differences are proportional at every substitution, so they violate
@@ -90,7 +96,7 @@ import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product
 from typing import TYPE_CHECKING, Iterator, Mapping, Union
 
@@ -156,6 +162,11 @@ class IdentityAst:
         """``"operator"`` when the identity uses ``_``, else ``"vector"``."""
         uses = any(isinstance(n, Column) for side in (self.lhs, self.rhs) for n in _walk(side))
         return "operator" if uses else "vector"
+
+    @cached_property
+    def slots(self) -> tuple[Expr | None, tuple[int, ...], tuple[Expr, Expr]]:
+        """The column leaf, the slot multiplicities and the sides to compile."""
+        return _slots(self)
 
     @cached_property
     def plan(self) -> Program:
@@ -492,11 +503,18 @@ class Program:
     ``blocks`` holds the *antisymmetric blocks*: tuples of slots, in slot
     order, such that swapping the values of any two slots of a block
     negates LHS - RHS in every anticommutative algebra (see ``_blocks``).
+
+    ``memos`` holds the *memo steps*: linear maps that leave out a slot
+    below their level.  Until a slot at or before ``memo_from`` advances,
+    no memo step meets the same option indices of its slots twice; from
+    then on a scan runs each once per such indices and keeps its values in
+    a table of its own, of at most the product of those slots' option
+    counts.
     """
 
     def __init__(self, multiplicities: Sequence[int], steps: Sequence[tuple[int, Callable]],
                  levels: Sequence[int], lhs: int, rhs: int, column: bool, scale: Scalar,
-                 blocks: Sequence[tuple[int, ...]]):
+                 blocks: Sequence[tuple[int, ...]], memos: Mapping[int, tuple[int, ...]]):
         self.multiplicities = tuple(multiplicities)
         self.nvars = nvars = len(self.multiplicities)
         self.column = column
@@ -519,6 +537,11 @@ class Program:
                     self.prev[k] = block[t - 1]
                 self.after[k] = len(block) - 1 - t
         self.orbit = math.prod(math.factorial(len(b)) for b in self.blocks)
+        # memos: (register, step, the slots it reads) of each memo step;
+        # memo_from: the last slot below a memo step's level that it does not read
+        self.memos = tuple((out, step, memos[out]) for out, step in steps if out in memos)
+        self.memo_from = max((k for out, _, read in self.memos for k in range(levels[out])
+                              if k not in read), default=-1)
 
     def evaluate(self, A: Algebra, args: Sequence[Vector]) -> tuple[Value, Value]:
         """Both sides at one substitution (vectors in ``variables`` order).
@@ -587,6 +610,7 @@ class Program:
         r = [o[i] for o, i in zip(options, idx)] + [None] * (self.size - n)
         fastest = options[last]
         first, nviol, nprefixes, args, level = None, 0, 0, None, 0
+        memo_from = self.memo_from
         while True:
             for out, step in runs[level]:
                 r[out] = step(A, r)
@@ -616,7 +640,25 @@ class Program:
                 return first, nviol * self.orbit, nprefixes * self.orbit, args
             for j in range(k, last):
                 r[j] = options[j][idx[j]]
+            if k <= memo_from:  # a memo step's value may now repeat
+                memo = {out: (out, _memoized(step, slots, idx, {}))
+                        for out, step, slots in self.memos}
+                runs, memo_from = [[memo.get(s[0], s) for s in run] for run in runs], -1
             level = k + 1
+
+
+def _memoized(step: Callable, slots: tuple[int, ...], idx: list[int], table: dict) -> Callable:
+    """``step``, run once per option indices ``idx`` gives its ``slots``; ``table``
+    keeps its values by those indices."""
+    key = operator.itemgetter(*slots)
+
+    def run(A, r):
+        k = key(idx)
+        value = table.get(k)
+        if value is None:
+            value = table[k] = step(A, r)
+        return value
+    return run
 
 
 def _advance(idx: list[int], k: int, prev: Sequence[int], top: Sequence[int]) -> int:
@@ -643,27 +685,47 @@ def _top_coefficient(term: Expr) -> tuple[Scalar, Expr]:
     return c, term
 
 
-def _integral(side: Expr, lcm: int) -> Expr:
-    """``side`` with each top-level coefficient multiplied by ``lcm``."""
+def _rebuilt(side: Expr, rewrite: Callable[[Scalar, Expr], tuple[Scalar, Expr]]) -> Expr:
+    """``side`` with each additive term ``c * t`` (``c`` its top-level
+    coefficient) replaced by ``rewrite(c, t)``."""
     terms = []
     for t in _additive_terms(side):
-        c, core = _top_coefficient(t)
-        c = int(c * lcm)
+        c, core = rewrite(*_top_coefficient(t))
         terms.append(core if c == 1 else Scale(c, core))
     return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
 
-def _slots(ast: IdentityAst) -> tuple[Expr | None, tuple[int, ...]]:
-    """The column leaf (``_``, the last variable or None) and the slot multiplicities."""
+def _oriented(leaf: Var, c: Scalar, node: Expr) -> tuple[Scalar, Expr]:
+    """``(d, n)`` with ``c * node = d * n`` in every anticommutative algebra:
+    each binary bracket ``[a,b]`` around ``leaf`` whose first argument holds
+    it becomes ``-[b,a]``."""
+    if isinstance(node, Scale):
+        c, child = _oriented(leaf, c, node.child)
+        return c, Scale(node.coeff, child)
+    if not isinstance(node, Bracket):
+        return c, node
+    *front, last = node.args
+    if len(front) == 1 and leaf in _walk(front[0]):
+        front, last, c = [last], front[0], -c
+    c, last = _oriented(leaf, c, last)
+    return c, Bracket((*front, last))
+
+
+def _slots(ast: IdentityAst) -> tuple[Expr | None, tuple[int, ...], tuple[Expr, Expr]]:
+    """The column leaf (``_``, the last variable or None), the slot
+    multiplicities and the sides to compile: oriented when the last variable
+    is the leaf (see the module docstring)."""
     sides = (ast.lhs, ast.rhs)
-    if any(isinstance(n, Column) for side in sides for n in _walk(side)):
-        return Column(), (*ast.multiplicities, 1)
-    leaf = Var(ast.variables[-1]) if ast.variables else None
-    if leaf is not None and all(  # a literal 0 may follow a minus
-            _in_column(t, leaf) or t in (Sum(()), Scale(-1, Sum(())))
-            for side in sides for t in _additive_terms(side)):
-        return leaf, ast.multiplicities
-    return None, ast.multiplicities
+    if ast.level == "operator":
+        return Column(), (*ast.multiplicities, 1), sides
+    if ast.variables:
+        leaf = Var(ast.variables[-1])
+        oriented = tuple(_rebuilt(side, partial(_oriented, leaf)) for side in sides)
+        if all(  # a literal 0 may follow a minus
+                _in_column(t, leaf) or t in (Sum(()), Scale(-1, Sum(())))
+                for side in oriented for t in _additive_terms(side)):
+            return leaf, ast.multiplicities, oriented
+    return None, ast.multiplicities, sides
 
 
 def _compile(ast: IdentityAst) -> Program:
@@ -673,18 +735,19 @@ def _compile(ast: IdentityAst) -> Program:
     others is split into the operator ``l+_a`` or ``6Y(a;b)``, built at the
     level of ``a`` and ``b``, and its ``apply`` at the level of the last
     argument; the operator's columns, filled on first use, then serve every
-    value the last argument takes before ``a`` or ``b`` change.
+    value the last argument takes before ``a`` or ``b`` change, and an
+    operator that leaves out a slower slot is a memo step (see :class:`Program`).
     """
-    sides = (ast.lhs, ast.rhs)
-    leaf, multiplicities = _slots(ast)
+    leaf, multiplicities, sides = ast.slots
     column = leaf is not None
     lcm = math.lcm(*(Fraction(_top_coefficient(t)[0]).denominator
                      for side in sides for t in _additive_terms(side)))
     if lcm != 1:
-        sides = tuple(_integral(side, lcm) for side in sides)
+        sides = tuple(_rebuilt(side, lambda c, core: (int(c * lcm), core)) for side in sides)
     index = {name: i for i, name in enumerate(ast.variables)}
     levels = list(range(1, len(multiplicities) + 1))  # register -> level
-    steps = []
+    reads = [(k,) for k in range(len(multiplicities))]  # register -> the slots it reads
+    steps, memos = [], {}  # memos: register of a memo step -> the slots it reads
     # (maker, constants, operands) -> register: a repeated subterm runs once
     registers: dict[tuple, int] = {}
 
@@ -693,8 +756,25 @@ def _compile(ast: IdentityAst) -> Program:
         if key not in registers:
             out = registers[key] = len(levels)
             levels.append(max((levels[i] for i in operands), default=0))
+            reads.append(tuple(sorted({k for i in operands for k in reads[i]})))
             steps.append((out, make(*constants, *operands)))
+            if make in (_left_translation_step, _sixfold_yamagutian_step) \
+                    and len(reads[out]) < levels[out]:  # it leaves out a slower slot
+                memos[out] = reads[out]
         return registers[key]
+
+    composed: dict[int, tuple[int, int]] = {}  # register of P @ Q -> (P, Q)
+
+    def compose(p: int, q: int) -> int:
+        """The register of ``p @ q``, as ``(p @ a) @ b`` when ``q`` is ``a @ b``
+        and only ``b`` has its level: ``p @ a`` then runs less often."""
+        if q in composed:
+            a, b = composed[q]
+            if max(levels[p], levels[a]) < levels[b]:
+                return compose(compose(p, a), b)
+        out = emit(_compose_step, (p, q))
+        composed[out] = (p, q)
+        return out
 
     def compile_node(node: Expr, zero: type) -> tuple[int, bool]:
         """The register of ``node`` and whether it holds an operator."""
@@ -722,15 +802,23 @@ def _compile(ast: IdentityAst) -> Program:
             return emit(linear, front), True
         reg, is_operator = compile_node(last, Vector)
         if is_operator:
-            return emit(_compose_step, (emit(linear, front), reg)), True
+            return compose(emit(linear, front), reg), True
         if levels[reg] > max(levels[i] for i in front):
             return emit(_apply_step, (emit(linear, front), reg)), False
         return emit(_bracket_step if len(front) == 1 else _yamaguti_step, (*front, reg)), False
 
     zero = Operator if column else Vector
     lhs, rhs = (compile_node(side, zero)[0] for side in sides)
+    # regrouping leaves compositions that no side reads: drop them (a step's
+    # operands come before it)
+    operands = {out: key[2] for key, out in registers.items()}
+    live = {lhs, rhs}
+    for out, _ in reversed(steps):
+        if out in live:
+            live.update(operands[out])
+    steps = [step for step in steps if step[0] in live]
     return Program(multiplicities, steps, levels, lhs, rhs, column,
-                   Fraction(1, lcm) if lcm != 1 else 1, _blocks(ast.key))
+                   Fraction(1, lcm) if lcm != 1 else 1, _blocks(ast.key), memos)
 
 
 class _TooLarge(Exception):
@@ -766,13 +854,13 @@ def _expand(node: Expr, names: Mapping[str, str]) -> dict[Monomial, Scalar]:
 
 
 def _key(ast: IdentityAst) -> tuple | IdentityAst:
-    leaf, multiplicities = _slots(ast)
+    leaf, multiplicities, (lhs, rhs) = ast.slots
     names = {name: f"v{i}" for i, name in enumerate(ast.variables)}
     if isinstance(leaf, Var):  # the last variable is "_"
         names[leaf.name] = "_"
     try:
-        poly = _expand(ast.lhs, names)
-        for m, c in _expand(ast.rhs, names).items():
+        poly = _expand(lhs, names)
+        for m, c in _expand(rhs, names).items():
             poly[m] = poly.get(m, 0) - c
     except _TooLarge:
         return ast

@@ -181,14 +181,15 @@ def test_roundtrip_random_asts(lhs, rhs):
 @given(lhs=_expr_strategy, rhs=_expr_strategy)
 def test_column_rules_of_parser_and_compiler_agree(lhs, rhs):
     # the parser checks where "_" may stand on its tokens; the compiler takes
-    # the last variable as the column variable by the same rule on the AST
+    # the last variable as the column variable by the same rule on the AST,
+    # once the binary brackets around it are oriented
     from maltsev.dsl import IdentityAst, _infer_variables
     variables, multiplicities = _infer_variables(lhs, rhs)
-    text = format_identity(IdentityAst(variables, multiplicities, lhs, rhs))
     mult = dict(zip(variables, multiplicities))
     for v in variables:
         order = (*(n for n in variables if n != v), v)
         ast = IdentityAst(order, tuple(mult[n] for n in order), lhs, rhs)
+        text = format_identity(IdentityAst(order, ast.multiplicities, *ast.slots[2]))
         try:
             parse_identity(text.replace(v, "_"))
         except IdentitySyntaxError:

@@ -17,7 +17,7 @@ from functools import lru_cache, partial
 import pytest
 
 from maltsev import Vector, builtin, check_builtin, check_identity, substitution_options
-from maltsev import checker
+from maltsev import checker, dsl
 from maltsev.catalog import full_catalog
 from maltsev.cli import main
 from maltsev.dsl import format_identity, parse_identity
@@ -51,16 +51,25 @@ EDGE_TEXTS = (
     "[x,z] = z",
     "[x,y] - 0 = 2*[x,y]",
     "[x,y] - 0 = [x,2*y]",
-    # vector scan: the last variable not last in a bracket, a term without
-    # it, a 0 inside a bracket
+    # column scan once oriented: binary brackets that hold the last variable
+    # first, at depth, inside a scale, next to a ternary bracket; the first,
+    # second and last hold in every anticommutative algebra
     "[x,z] + [z,x] = 0",
+    "[x,-2*[z,y]] + 2*[[y,z],x] = 0",
+    "[[z,x],y] = 2*[y,[x,z]]",
+    "[z,x,y] + [[x,y],z] = 0",
+    "[y,[x,[x,z]]] + [[[z,x],x],y] = 0",
+    # vector scan: the last variable first in a ternary bracket, a term
+    # without it, a 0 inside a bracket
+    "[x,[y,z]] = [z,x,y]",
     "[x,y,z] = [x,y,z] + [x,y] - [x,y]",
     "[x,0] + [x,y] = [x,y]",
 )
 
-# the builtins whose last variable the compiler takes as the column variable
+# the builtins whose last variable the compiler takes as the column variable;
+# in the last three it stands first in binary brackets, which are oriented
 COLUMN_BUILTINS = {"glts-f", "ternary-derivation", "sagle-yamaguti", "derivation",
-                   "glts-d", "ternary-antisymmetry"}
+                   "glts-d", "ternary-antisymmetry", "maltsev", "jacobi", "anticommutativity"}
 # the builtins that use "_"; they compile into column programs too
 OPERATOR_BUILTINS = {"yamagutian-antisymmetry", "yamagutian-constraint", "reductivity",
                      "hidden-assoc-operator"}
@@ -130,6 +139,17 @@ def test_m7_first_violation_matches_the_oracle():
     assert check_builtin(m7, "jacobi") == oracle.check_ast(m7, ident.ast, "jacobi")
     assert (check_builtin(m7, "jacobi", exhaustive=True)
             == oracle.check_ast(m7, ident.ast, "jacobi", exhaustive=True))
+
+
+@pytest.mark.parametrize("ident_id", ["maltsev", "anticommutativity"])
+def test_m7_oriented_builtins_match_the_oracle(ident_id):
+    # oriented column programs, on the one non-Lie algebra of the catalog
+    ast = BUILTIN_IDENTITIES[ident_id].ast
+    scanned = oracle.violations(builtin("m7"), ast)
+    for exhaustive in (False, True):
+        assert (check_builtin(builtin("m7"), ident_id, exhaustive=exhaustive)
+                == oracle.check_ast(builtin("m7"), ast, ident_id, exhaustive=exhaustive,
+                                    scanned=scanned))
 
 
 def _index_of(options, idx):
@@ -291,9 +311,11 @@ def test_pooled_operator_twin_counts_match_the_oracle(monkeypatch, workers):
 
 
 def test_column_scan_is_taken_by_exactly_the_linear_builtins():
-    # vector builtins linear in their last variable, and every operator builtin
+    # vector builtins linear in their last variable, and every operator builtin;
+    # glts-c's z stands first in a ternary bracket, which is not reordered
     column = {i.id for i in BUILTIN_IDENTITIES.values() if i.ast.plan.column}
     assert column == COLUMN_BUILTINS | OPERATOR_BUILTINS
+    assert not BUILTIN_IDENTITIES["glts-c"].ast.plan.column
     assert {i.id for i in BUILTIN_IDENTITIES.values() if i.level == "operator"} \
         == OPERATOR_BUILTINS
     assert all((i.ast.plan.inner == ()) == (i.id in column)
@@ -304,7 +326,9 @@ def test_column_scan_is_taken_by_exactly_the_linear_builtins():
     ("[x,[y,z]] = [[x,y],z] + [y,[x,z]]", True),
     ("[x,z] = z", True),
     ("[x,y] - 0 = [x,2*y]", True),
-    ("[x,z] + [z,x] = 0", False),
+    ("[x,z] + [z,x] = 0", True),
+    ("[y,[x,[x,z]]] + [[[z,x],x],y] = 0", True),
+    ("[x,[y,z]] = [z,x,y]", False),
     ("[x,y,z] = [x,y,z] + [x,y] - [x,y]", False),
     ("[x,0] + [x,y] = [x,y]", False),
     ("0 = 0", False),
@@ -317,7 +341,7 @@ def test_column_programs_evaluate_like_the_oracle_at_random_vectors():
     # the sides are operators in the last variable, applied to it: exact at
     # any rational vector, not only at the basis vectors the scan compares
     asts = [case[1] for case in CASES if case[1].plan.column and case[1].level == "vector"]
-    assert len(asts) == len(COLUMN_BUILTINS) + 7
+    assert len(asts) == len(COLUMN_BUILTINS) + 14
     rng = random.Random(RANDOM_VECTOR_SEED)
     for A in SMALL:
         for ast in asts:
@@ -325,6 +349,67 @@ def test_column_programs_evaluate_like_the_oracle_at_random_vectors():
                 env = {name: random_vector(rng, A.dim) for name in ast.variables}
                 want = tuple(oracle.eval_side(A, side, env, Vector) for side in (ast.lhs, ast.rhs))
                 assert ast.plan.evaluate(A, list(env.values())) == want, (A.name, ast)
+
+
+# memo steps: a linear map that leaves out a slower slot than its level is
+# built once per option indices of its own slots, from the first advance of
+# a slot it does not read (before that no indices repeat)
+@pytest.mark.parametrize("ident_id,primitive,builds", [
+    # 6Y(x,y) per canonical (x,y); 6Y([x,y,z],w) and 6Y(z,[x,y,w]) per
+    # canonical prefix; 6Y(z,w) per canonical (z,w) before y first advances,
+    # and once more in its memo
+    ("glts-f", "sixfold_yamagutian", 21 + 2 * 441 + 2 * 21),
+    ("hidden-assoc-operator", "sixfold_yamagutian", 21 + 2 * 441 + 2 * 21),
+    # l+_[x,y,z] per canonical prefix; l+_z for each z before y first
+    # advances, and once more in its memo
+    ("sagle-yamaguti", "left_translation", 147 + 2 * 7),
+    # l+_x per x and l+_[x,y] per prefix; l+_y as l+_z above, before x advances
+    ("maltsev", "left_translation", 28 + 196 + 2 * 7),
+])
+def test_memo_steps_are_built_once_per_own_option_indices(monkeypatch, ident_id, primitive,
+                                                           builds):
+    calls = []
+    original = getattr(dsl, primitive)
+    monkeypatch.setattr(dsl, primitive, lambda *a: calls.append(1) or original(*a))
+    m7, plan = builtin("m7"), BUILTIN_IDENTITIES[ident_id].ast.plan
+    options = [checker._options(7, m) for m in plan.multiplicities]
+    for _ in range(2):  # the memo lives in one scan: the next one builds as many
+        calls.clear()
+        assert plan.scan(m7, options, 0, math.prod(map(len, options)), True)[0] is None
+        assert len(calls) == builds
+
+
+def test_memo_tables_hold_at_most_the_product_of_their_slots_option_counts(monkeypatch):
+    tables = []
+    original = dsl._memoized
+    monkeypatch.setattr(dsl, "_memoized", lambda step, slots, idx, table: (
+        tables.append((slots, table)) or original(step, slots, idx, table)))
+    peak = {}
+    for A in [builtin("m7"), *CHUNK_ALGEBRAS]:
+        for ident in BUILTIN_IDENTITIES.values():
+            plan = ident.ast.plan
+            options = [checker._options(A.dim, m) for m in plan.multiplicities]
+            total = math.prod(map(len, options))
+            for start, stop in [(0, total), *checker._chunk_bounds(total, 3)]:
+                tables.clear()
+                plan.scan(A, options, start, stop, True)
+                for slots, table in tables:
+                    assert 0 < len(table) <= math.prod(len(options[k]) for k in slots)
+                    if A.name == "m7" and start == 0:
+                        peak[ident.id] = max(peak.get(ident.id, 0), len(table))
+    # on m7, [z,w,.] is kept for the 21 canonical (z, w), [z,.] and [y,.] for 7
+    assert peak["glts-f"] == peak["hidden-assoc-operator"] == 21
+    assert peak["sagle-yamaguti"] == peak["maltsev"] == 7
+
+
+def test_evaluate_runs_no_memo(monkeypatch):
+    monkeypatch.setattr(dsl, "_memoized", None)
+    ast = BUILTIN_IDENTITIES["glts-f"].ast
+    assert ast.plan.memos
+    m7, args = builtin("m7"), [Vector.basis(7, k) for k in (0, 1, 2, 3, 4)]
+    env = dict(zip(ast.variables, args))
+    want = tuple(oracle.eval_side(m7, side, env, Vector) for side in (ast.lhs, ast.rhs))
+    assert ast.plan.evaluate(m7, args) == want
 
 
 def test_identity_without_variables_holds_once(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Antisymmetric blocks: which slots a program's scan may reduce over.
+"""Anticommutativity: antisymmetric blocks and oriented brackets.
 
 A block is a set of slots, each pair of which negates LHS - RHS when
 swapped, in every anticommutative algebra; the scan then visits only the
@@ -6,14 +6,17 @@ substitutions whose option indices increase along each block.  The tests
 below pin the blocks of every builtin, the rules of detection on DSL edge
 cases, and, on random identities and algebras, the two facts the reduction
 rests on: the violations are closed under each detected swap, and none has
-equal values in two slots of a block.
+equal values in two slots of a block.  The compiler also writes ``[a,b]``
+as ``-[b,a]`` where that makes an identity a column program; writing a
+random identity's bracket that way by hand changes no report.
 """
+import dataclasses
 import math
 import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from maltsev import builtin, check_builtin, check_identity, dsl, format_identity
@@ -27,7 +30,7 @@ from .test_dsl import _expr_strategy
 
 # builtin -> its blocks, as variable names
 BUILTIN_BLOCKS = {
-    "anticommutativity": ["xy"],  # LHS - RHS is 0 modulo anticommutativity
+    "anticommutativity": [],  # y is the column variable, which is in no block
     "ternary-antisymmetry": ["xy"],
     "glts-c": ["xyz"],
     "glts-d": ["xyz"],
@@ -40,7 +43,7 @@ BUILTIN_BLOCKS = {
     "hidden-assoc-operator": ["xy", "zw"],
     "ternary-derivation": ["xy", "zw"],
     "maltsev": [],
-    "jacobi": ["xyz"],
+    "jacobi": ["xy"],  # z is the column variable once [[y,z],x] is -[x,[y,z]]
 }
 
 
@@ -108,11 +111,11 @@ def test_a_symmetric_swap_is_refused():
 
 def test_the_column_variable_is_never_in_a_block():
     # sagle-yamaguti is antisymmetric in z and w too, but w compiles as "_";
-    # the same polynomial with w kept a variable (the [w,x] terms cancel)
-    # gets the block {z,w}
+    # the same polynomial with w kept a variable (the [w,x,y] terms cancel,
+    # and w stands first in a ternary bracket there) gets the block {z,w}
     ident = BUILTIN_IDENTITIES["sagle-yamaguti"].ast
     assert ident.plan.column and ident.plan.blocks == ((0, 1),)
-    text = "[x,y,[z,w]] + [w,x] = [[x,y,z],w] + [z,[x,y,w]] + [w,x]"
+    text = "[x,y,[z,w]] + [w,x,y] = [[x,y,z],w] + [z,[x,y,w]] + [w,x,y]"
     ast = parse_identity(text)
     assert not ast.plan.column
     assert _named_blocks(ast) == ["xy", "zw"]
@@ -178,3 +181,45 @@ def test_detected_swaps_preserve_the_violations(lhs, rhs, seed, dim):
         for exhaustive in (False, True):
             assert (check_identity(A, ast, exhaustive=exhaustive)
                     == oracle.check_ast(A, ast, label, exhaustive=exhaustive, scanned=scanned))
+
+
+def _flipped(node, target):
+    """``node`` with its binary bracket number ``target`` (in ``dsl._walk``
+    order) written ``-1*[b,a]``, and the count of its binary brackets."""
+    count = 0
+
+    def flip(n):
+        nonlocal count
+        if isinstance(n, Scale):
+            return Scale(n.coeff, flip(n.child))
+        if isinstance(n, Sum):
+            return Sum(tuple(map(flip, n.terms)))
+        if not isinstance(n, Bracket):
+            return n
+        here = len(n.args) == 2 and count == target
+        count += len(n.args) == 2
+        args = tuple(map(flip, n.args))
+        return Scale(-1, Bracket(args[::-1])) if here else Bracket(args)
+
+    return flip(node), count
+
+
+@given(lhs=_expr_strategy, rhs=_expr_strategy, target=st.integers(0, 2 ** 16),
+       seed=st.integers(0, 2 ** 16), dim=st.sampled_from([2, 3]))
+def test_flipping_a_binary_bracket_changes_no_report(lhs, rhs, target, seed, dim):
+    # [a,b] = -[b,a] in every algebra, so the flipped identity violates at the
+    # same substitutions with the same sides, whichever program it compiles to
+    ast = _identity(lhs, rhs)
+    left, right = _flipped(lhs, -1)[1], _flipped(rhs, -1)[1]
+    assume(left + right)
+    target %= left + right
+    sides = ((_flipped(lhs, target)[0], rhs) if target < left
+             else (lhs, _flipped(rhs, target - left)[0]))
+    flipped = IdentityAst(ast.variables, ast.multiplicities, *sides)
+    for exhaustive in (False, True):
+        # fresh algebras, so that no stored scan serves the second check
+        want = check_identity(random_algebra(random.Random(seed), dim), ast,
+                              exhaustive=exhaustive)
+        got = check_identity(random_algebra(random.Random(seed), dim), flipped,
+                             exhaustive=exhaustive)
+        assert got == dataclasses.replace(want, identity=format_identity(flipped))
