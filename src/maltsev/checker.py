@@ -9,11 +9,16 @@ counterexample is always the first one in stream order, independent of the
 worker count.
 
 :func:`run_check` takes a parsed identity and scans with its compiled
-program, which hands back the first violating substitution for the report;
-pool workers receive the identity as text and parse it once each.  The
-program visits only the canonical substitutions of its antisymmetric blocks
-(see :mod:`.dsl`); pool chunks are still ranges of the whole stream, and
-the chunk holding the first violation finds it.
+program, which hands back the first violating substitution for the report.
+The program visits only the canonical substitutions of its antisymmetric
+blocks (see :mod:`.dsl`); pool chunks are still ranges of the whole stream,
+and the chunk holding the first violation finds it.
+
+One :class:`WorkerPool` serves every check of a command on its algebra: its
+processes start at the first check that pools and receive the algebra once;
+each chunk carries the identity as text, and a worker parses each text once
+and keeps its program for the later chunks.  A check given no pool opens a
+pool of its own, which closes when the check returns.
 
 Each algebra keeps the result of every scan run on it, by the identity's
 key (``IdentityAst.key``) and mode, so identities that are the same bracket
@@ -133,19 +138,59 @@ class EquivalenceReport:
         return self.maltsev.holds == self.sagle_yamaguti.holds
 
 
-_worker: tuple = ()  # (algebra, compiled program, option lists), set by _init_worker
+_worker: tuple = ()  # (algebra, {identity text: (program, option lists)}), set by _init_worker
 
 
-def _init_worker(A: Algebra, text: str) -> None:
+def _init_worker(A: Algebra) -> None:
     global _worker
-    plan = dsl.parse_identity(text).plan
-    _worker = (A, plan, [_options(A.dim, m) for m in plan.multiplicities])
+    _worker = (A, {})
 
 
-def _scan_chunk(start: int, stop: int, exhaustive: bool):
-    """Pool entry point: :meth:`dsl.Program.scan` on the worker's identity."""
-    A, plan, options = _worker
+def _scan_chunk(start: int, stop: int, exhaustive: bool, text: str):
+    """Pool entry point: :meth:`dsl.Program.scan` of the identity ``text``,
+    which each worker parses once."""
+    A, plans = _worker
+    if text not in plans:
+        plan = dsl.parse_identity(text).plan
+        plans[text] = plan, [_options(A.dim, m) for m in plan.multiplicities]
+    plan, options = plans[text]
     return plan.scan(A, options, start, stop, exhaustive)
+
+
+class WorkerPool:
+    """The worker processes that every pooled check on one algebra shares.
+
+    They start at the first check that pools, as many as ``workers``, that
+    check's chunks and ``os.cpu_count()`` allow, and each receives the
+    algebra once.  :meth:`close`, also on leaving a ``with`` block, cancels
+    the chunks still queued and joins the processes.  With one worker none
+    ever starts.
+    """
+
+    def __init__(self, A: Algebra, workers: int):
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        self.algebra = A
+        self.workers = workers
+        self._executor: ProcessPoolExecutor | None = None
+
+    def executor(self, chunks: int) -> ProcessPoolExecutor:
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(
+                max_workers=min(self.workers, chunks, os.cpu_count() or 1),
+                initializer=_init_worker, initargs=(self.algebra,))
+        return self._executor
+
+    def close(self) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+            self._executor = None
+
+    def __enter__(self) -> WorkerPool:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def _chunk_bounds(total: int, workers: int, unit: int = 1) -> list[tuple[int, int]]:
@@ -159,32 +204,33 @@ def _chunk_bounds(total: int, workers: int, unit: int = 1) -> list[tuple[int, in
     return [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
 
 
-def _scan(A: Algebra, ast: dsl.IdentityAst, exhaustive: bool, workers: int) -> tuple:
+def _scan(A: Algebra, ast: dsl.IdentityAst, exhaustive: bool,
+          pool: WorkerPool | None) -> tuple:
     """:meth:`dsl.Program.scan` of ``ast`` over its whole stream, serial or
-    pooled, and the stream's length."""
+    in ``pool``, and the stream's length."""
     plan = ast.plan
     options = [_options(A.dim, m) for m in plan.multiplicities]
     total = math.prod(map(len, options))
-    # the pool starts at _PARALLEL_MIN substitutions; an operator identity's
-    # stream holds dim columns per substitution
-    if workers == 1 or total < _PARALLEL_MIN * (A.dim if ast.level == "operator" else 1):
+    # the pool serves checks of _PARALLEL_MIN substitutions or more; an
+    # operator identity's stream holds dim columns per substitution
+    if (pool is None or pool.workers == 1
+            or total < _PARALLEL_MIN * (A.dim if ast.level == "operator" else 1)):
         return (*plan.scan(A, options, 0, total, exhaustive), total)
-    bounds = _chunk_bounds(total, workers, A.dim if plan.column else 1)
+    bounds = _chunk_bounds(total, pool.workers, A.dim if plan.column else 1)
+    executor = pool.executor(len(bounds))
+    text = dsl.format_identity(ast)
     first, nviol, nprefixes, args = None, 0, 0, None
-    processes = min(workers, len(bounds), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=processes, initializer=_init_worker,
-                             initargs=(A, dsl.format_identity(ast))) as pool:
-        futures = [pool.submit(_scan_chunk, s, e, exhaustive) for s, e in bounds]
-        for fut in futures:  # submission order == stream order
-            f, n, p, a = fut.result()
-            nviol += n
-            nprefixes += p
-            if f is not None and first is None:
-                first, args = f, a
-                if not exhaustive:
-                    for later in futures:
-                        later.cancel()
-                    break
+    futures = [executor.submit(_scan_chunk, s, e, exhaustive, text) for s, e in bounds]
+    for fut in futures:  # submission order == stream order
+        f, n, p, a = fut.result()
+        nviol += n
+        nprefixes += p
+        if f is not None and first is None:
+            first, args = f, a
+            if not exhaustive:
+                for later in futures:
+                    later.cancel()
+                break
     return first, nviol, nprefixes, args, total
 
 
@@ -199,23 +245,27 @@ def _substitution(A: Algebra, plan: dsl.Program, index: int) -> tuple[Vector, ..
 
 
 def run_check(A: Algebra, label: str, ast: dsl.IdentityAst, evaluate: Callable, *,
-              exhaustive: bool = False, workers: int = 1) -> CheckReport:
+              exhaustive: bool = False, workers: int = 1,
+              pool: WorkerPool | None = None) -> CheckReport:
     """Drive one check of ``ast``, reported as ``label``, over the full stream.
 
     ``evaluate(A, args)`` re-evaluates the first counterexample.  The report
     is a pure function of (algebra, identity, exhaustive): with several
     workers the stream is scanned in order-preserving chunks and
-    ``substitutions_checked`` keeps its serial meaning.  The pool never has
-    more processes than chunks or than ``os.cpu_count()``, and each process
-    receives the algebra and the identity text once.  A key that was
+    ``substitutions_checked`` keeps its serial meaning.  ``pool``, a
+    :class:`WorkerPool` on ``A``, scans in place of ``workers``; without
+    one, a pooled check opens and closes a pool of its own.  A key that was
     scanned on ``A`` before, in the same mode, is not scanned again.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    if pool is None and workers != 1:
+        with WorkerPool(A, workers) as pool:  # refuses workers < 1
+            return run_check(A, label, ast, evaluate, exhaustive=exhaustive, pool=pool)
+    if pool is not None and pool.algebra is not A:
+        raise ValueError(f"the pool serves {pool.algebra.name!r}, not {A.name!r}")
     key = (ast.key, exhaustive)
     found = A._scans.get(key)
     if found is None:
-        first, nviol, nprefixes, args, total = _scan(A, ast, exhaustive, workers)
+        first, nviol, nprefixes, args, total = _scan(A, ast, exhaustive, pool)
         # integers only, so that the stored scans add nothing for the
         # cyclic garbage collector to traverse
         A._scans[key] = first, nviol, nprefixes, total
@@ -240,7 +290,7 @@ def run_check(A: Algebra, label: str, ast: dsl.IdentityAst, evaluate: Callable, 
 
 
 def check_builtin(A: Algebra, identity_id: str, *, exhaustive: bool = False,
-                  workers: int = 1) -> CheckReport:
+                  workers: int = 1, pool: WorkerPool | None = None) -> CheckReport:
     """Exhaustively check one builtin identity on an algebra."""
     try:
         ident = BUILTIN_IDENTITIES[identity_id]
@@ -249,25 +299,28 @@ def check_builtin(A: Algebra, identity_id: str, *, exhaustive: bool = False,
             f"unknown identity {identity_id!r}; known: {', '.join(BUILTIN_IDENTITIES)}"
         ) from None
     return run_check(A, ident.id, ident.ast, ident.evaluate,
-                     exhaustive=exhaustive, workers=workers)
+                     exhaustive=exhaustive, workers=workers, pool=pool)
 
 
 def check_glts(A: Algebra, *, exhaustive: bool = False,
                workers: int = 1) -> list[CheckReport]:
-    """Check the six general-Lie-triple-system axioms, in (a)-(f) order."""
-    return [check_builtin(A, i, exhaustive=exhaustive, workers=workers)
-            for i in GLTS_AXIOM_IDS]
+    """Check the six general-Lie-triple-system axioms, in (a)-(f) order,
+    sharing one pool."""
+    with WorkerPool(A, workers) as pool:
+        return [check_builtin(A, i, exhaustive=exhaustive, pool=pool)
+                for i in GLTS_AXIOM_IDS]
 
 
 def check_equivalence(A: Algebra, *, workers: int = 1) -> EquivalenceReport:
-    """Check maltsev and sagle-yamaguti side by side.
+    """Check maltsev and sagle-yamaguti side by side, sharing one pool.
 
     The two identities are classically equivalent for anticommutative
     algebras; a disagreement would be a finding, so callers should surface
     ``agree`` rather than assume it.
     """
-    return EquivalenceReport(
-        algebra=A.name,
-        maltsev=check_builtin(A, "maltsev", workers=workers),
-        sagle_yamaguti=check_builtin(A, "sagle-yamaguti", workers=workers),
-    )
+    with WorkerPool(A, workers) as pool:
+        return EquivalenceReport(
+            algebra=A.name,
+            maltsev=check_builtin(A, "maltsev", pool=pool),
+            sagle_yamaguti=check_builtin(A, "sagle-yamaguti", pool=pool),
+        )

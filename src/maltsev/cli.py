@@ -93,17 +93,19 @@ def cmd_check(args: argparse.Namespace) -> int:
     identities = _resolve_identities(args.identity, args.dsl is not None)
     A = _load_algebra_arg(args.algebra)
     reports: list[checker.CheckReport] = []
-    for ident in identities:
-        reports.append(checker.check_builtin(
-            A, ident, exhaustive=args.exhaustive, workers=args.workers))
-    if args.dsl is not None:
-        text = Path(args.dsl).read_text(encoding="utf-8")
-        parsed = dsl.parse_identity_file(text)
-        if not parsed and not identities:
-            raise ValueError(f"no identities selected: {args.dsl} is empty")
-        for _lineno, ast in parsed:
-            reports.append(dsl.check_identity(
-                A, ast, exhaustive=args.exhaustive, workers=args.workers))
+    # one pool serves every check; it is shut down on every way out
+    with checker.WorkerPool(A, args.workers) as pool:
+        for ident in identities:
+            reports.append(checker.check_builtin(
+                A, ident, exhaustive=args.exhaustive, pool=pool))
+        if args.dsl is not None:
+            text = Path(args.dsl).read_text(encoding="utf-8")
+            parsed = dsl.parse_identity_file(text)
+            if not parsed and not identities:
+                raise ValueError(f"no identities selected: {args.dsl} is empty")
+            for _lineno, ast in parsed:
+                reports.append(dsl.check_identity(
+                    A, ast, exhaustive=args.exhaustive, pool=pool))
     if args.json_output:
         print(json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True))
     else:
@@ -163,9 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--exhaustive", action="store_true",
                          help="count every violation instead of stopping at the first")
     p_check.add_argument("--workers", type=int, default=1, metavar="N",
-                         help="parallel worker processes (default 1); the pool "
-                              "never starts more than the CPU count or the "
-                              "number of stream chunks")
+                         help="parallel worker processes (default 1); one pool "
+                              "serves every check of the command, started at the "
+                              "first check large enough to pool and never larger "
+                              "than the CPU count or that check's stream chunks; "
+                              "a worker parses each identity text once")
 
     p_table = sub.add_parser("table", help="print the bracket table")
     p_table.add_argument("algebra",

@@ -115,7 +115,7 @@ from .core import (
 )
 
 if TYPE_CHECKING:
-    from .checker import CheckReport
+    from .checker import CheckReport, WorkerPool
 
 Expr = Union["Var", "Column", "Scale", "Sum", "Bracket"]
 Value = Vector | Operator
@@ -339,15 +339,21 @@ class _Parser:
 
 
 def _walk(node: Expr) -> Iterator[Expr]:
-    yield node
-    if isinstance(node, Scale):
-        yield from _walk(node.child)
-    elif isinstance(node, Sum):
-        for t in node.terms:
-            yield from _walk(t)
-    elif isinstance(node, Bracket):
-        for a in node.args:
-            yield from _walk(a)
+    """The nodes under ``node``, itself first, in preorder.
+
+    One generator with a stack, so a node costs the same at any depth.
+    """
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        kind = type(node)  # the node classes have no subclasses
+        if kind is Bracket:
+            stack += node.args[::-1]
+        elif kind is Sum:
+            stack += node.terms[::-1]
+        elif kind is Scale:
+            stack.append(node.child)
 
 
 def _additive_terms(side: Expr) -> tuple[Expr, ...]:
@@ -367,11 +373,7 @@ def _in_column(term: Expr, leaf: Expr) -> bool:
 
 
 def _infer_variables(lhs: Expr, rhs: Expr) -> tuple[tuple[str, ...], tuple[int, ...]]:
-    order: list[str] = []
-    for node in (*_walk(lhs), *_walk(rhs)):
-        if isinstance(node, Var) and node.name not in order:
-            order.append(node.name)
-    mults = dict.fromkeys(order, 0)
+    mults: dict[str, int] = {}  # in order of first appearance
     for side in (lhs, rhs):
         for term in _additive_terms(side):
             counts: dict[str, int] = {}
@@ -379,8 +381,8 @@ def _infer_variables(lhs: Expr, rhs: Expr) -> tuple[tuple[str, ...], tuple[int, 
                 if isinstance(node, Var):
                     counts[node.name] = counts.get(node.name, 0) + 1
             for name, n in counts.items():
-                mults[name] = max(mults[name], n)
-    return tuple(order), tuple(mults[n] for n in order)
+                mults[name] = max(mults.get(name, 0), n)
+    return tuple(mults), tuple(mults.values())
 
 
 def parse_identity(text: str) -> IdentityAst:
@@ -945,7 +947,7 @@ def eval_ast(A: Algebra, ast: IdentityAst,
 
 
 def check_identity(A: Algebra, ast: IdentityAst, *, exhaustive: bool = False,
-                   workers: int = 1) -> CheckReport:
+                   workers: int = 1, pool: WorkerPool | None = None) -> CheckReport:
     """Check a parsed identity with the same contract as a builtin check."""
     from . import checker  # the checker is the layer above this module
 
@@ -953,4 +955,4 @@ def check_identity(A: Algebra, ast: IdentityAst, *, exhaustive: bool = False,
         return eval_ast(A, ast, dict(zip(ast.variables, args)))
 
     return checker.run_check(A, format_identity(ast), ast, evaluate,
-                             exhaustive=exhaustive, workers=workers)
+                             exhaustive=exhaustive, workers=workers, pool=pool)

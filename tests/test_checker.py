@@ -18,7 +18,7 @@ from maltsev import (
     substitution_count,
     substitution_options,
 )
-from maltsev import checker, dsl
+from maltsev import checker, cli, dsl
 from maltsev.identities import BUILTIN_IDENTITIES, GLTS_AXIOM_IDS
 
 from . import oracle
@@ -178,28 +178,27 @@ def test_invalid_worker_count(so3):
 
 
 class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records its size, runs inline.
+    """Stands in for ProcessPoolExecutor: records its size and its
+    shutdowns, runs inline.
 
     The initializer runs once, here, as it would once in each worker.
     """
 
     sizes: list[int] = []
+    shutdowns: list[tuple[bool, bool]] = []  # (wait, cancel_futures) per call
 
     def __init__(self, max_workers, initializer=None, initargs=()):
         self.sizes.append(max_workers)
         if initializer is not None:
             initializer(*initargs)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
     def submit(self, fn, *args):
         future = Future()
         future.set_result(fn(*args))
         return future
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.shutdowns.append((wait, cancel_futures))
 
 
 @pytest.mark.parametrize("workers,cpus,expected", [
@@ -240,19 +239,72 @@ def test_serial_dsl_check_parses_once(monkeypatch, nc3):
 
 
 def test_pooled_dsl_check_parses_once_per_worker(monkeypatch):
+    # one shared pool scans two identities in both modes, so each identity
+    # text reaches the worker in two checks' chunks
     monkeypatch.setattr(checker, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(checker.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(_InlinePool, "sizes", [])
-    ast = dsl.parse_identity(BUILTIN_IDENTITIES["glts-f"].dsl_text)
+    monkeypatch.setattr(_InlinePool, "shutdowns", [])
+    asts = [dsl.parse_identity(BUILTIN_IDENTITIES[i].dsl_text) for i in ("glts-f", "glts-d")]
     calls = _count_parses(monkeypatch)
-    report = check_identity(builtin("abelian(4)"), ast, workers=2)
+    A = builtin("abelian(4)")
+    with checker.WorkerPool(A, 2) as pool:
+        reports = [check_identity(A, ast, exhaustive=e, pool=pool)
+                   for ast in asts for e in (False, True)]
     # the inline pool runs the initializer once, as one worker would
     assert _InlinePool.sizes == [2]
-    assert calls == [dsl.format_identity(ast)]
-    assert report == check_identity(builtin("abelian(4)"), ast)
+    assert _InlinePool.shutdowns == [(True, True)]
+    assert calls == [dsl.format_identity(ast) for ast in asts]
+    assert reports == [check_identity(builtin("abelian(4)"), ast, exhaustive=e)
+                       for ast in asts for e in (False, True)]
+
+
+def test_a_pooled_command_starts_one_pool_and_parses_each_text_once(
+        monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(checker, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(checker.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(_InlinePool, "shutdowns", [])
+    # four checks that pool on m7, no two of them the same polynomial
+    builtins = ("glts-d", "maltsev")
+    lines = [dsl.format_identity(BUILTIN_IDENTITIES[i].ast)
+             for i in ("ternary-antisymmetry", "jacobi")]
+    path = tmp_path / "two.txt"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    argv = ["check", "m7", "--identity", builtins[0], "--identity", builtins[1],
+            "--dsl", str(path), "--json"]
+    serial = cli.main(argv), capsys.readouterr().out
+    assert _InlinePool.sizes == []
+    calls = _count_parses(monkeypatch)
+    assert (cli.main([*argv, "--workers", "2"]), capsys.readouterr().out) == serial
+    assert serial[0] == 1  # jacobi fails on m7
+    assert _InlinePool.sizes == [2]
+    assert _InlinePool.shutdowns == [(True, True)]
+    # the command parses each file line once, the worker each pooled text once
+    worker_texts = [dsl.format_identity(BUILTIN_IDENTITIES[i].ast) for i in builtins]
+    assert sorted(calls) == sorted([*lines, *worker_texts, *lines])
+
+
+def test_a_pool_serves_one_algebra(so3, sl2):
+    with checker.WorkerPool(so3, 2) as pool:
+        with pytest.raises(ValueError, match="so3"):
+            check_builtin(sl2, "maltsev", pool=pool)
 
 
 # -------------------------------------------------------------- aggregates
+
+def test_check_glts_and_check_equivalence_share_one_pool(monkeypatch):
+    # abelian(4): glts-d, sagle-yamaguti and glts-f pool; m7: both
+    # equivalence checks pool
+    monkeypatch.setattr(checker, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(checker.os, "cpu_count", lambda: 2)
+    for run, name in ((check_glts, "abelian(4)"), (check_equivalence, "m7")):
+        monkeypatch.setattr(_InlinePool, "sizes", [])
+        monkeypatch.setattr(_InlinePool, "shutdowns", [])
+        assert run(builtin(name), workers=2) == run(builtin(name))
+        assert _InlinePool.sizes == [2]
+        assert _InlinePool.shutdowns == [(True, True)]
+
 
 def test_check_glts_sl2_all_hold(sl2):
     reports = check_glts(sl2)

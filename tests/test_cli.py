@@ -1,9 +1,12 @@
 import json
+import multiprocessing
 import subprocess
 import sys
 from pathlib import Path
 
-from maltsev import save_algebra
+import pytest
+
+from maltsev import checker, save_algebra
 from maltsev.cli import main
 from maltsev.identities import MALTSEV_SUITE_IDS
 
@@ -156,6 +159,39 @@ def test_check_invalid_worker_count_exits_2(capsys):
     code = main(["check", "so3", "--identity", "jacobi", "--workers", "0"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.fixture
+def started_pools(monkeypatch) -> list:
+    """Every real process pool the checker starts from here on."""
+    pools = []
+
+    class RecordingPool(checker.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(checker, "ProcessPoolExecutor", RecordingPool)
+    return pools
+
+
+@pytest.mark.parametrize("code,identities,dsl_text", [
+    (0, ("ternary-antisymmetry", "glts-c"), None),
+    (1, ("jacobi",), None),  # a violation cancels the chunks after it
+    (2, ("ternary-antisymmetry",), "[x,y = 0\n"),  # parsed after the builtin
+])
+def test_no_worker_outlives_a_pooled_command(started_pools, tmp_path, capsys,
+                                             code, identities, dsl_text):
+    argv = ["check", "m7", *(a for i in identities for a in ("--identity", i)),
+            "--workers", "2"]
+    if dsl_text is not None:
+        (tmp_path / "bad.txt").write_text(dsl_text, encoding="utf-8")
+        argv += ["--dsl", str(tmp_path / "bad.txt")]
+    got, _, err = run(capsys, *argv)
+    assert got == code
+    assert "Traceback" not in err
+    assert len(started_pools) == 1
+    assert multiprocessing.active_children() == []
 
 
 def test_check_json_and_text_verdicts_agree(capsys):
