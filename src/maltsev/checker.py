@@ -9,10 +9,12 @@ counterexample is always the first one in stream order, independent of the
 worker count.
 
 :func:`run_check` takes a parsed identity and scans with its compiled
-program, which hands back the first violating substitution for the report.
-The program visits only the canonical substitutions of its antisymmetric
-blocks (see :mod:`.dsl`); pool chunks are still ranges of the whole stream,
-and the chunk holding the first violation finds it.
+program, which hands back stream positions only: the first violating index
+and the violation counts.  The program visits only the canonical
+substitutions of its antisymmetric blocks (see :mod:`.dsl`); pool chunks are
+still ranges of the whole stream, and the chunk holding the first violation
+finds it.  Every report decodes the first index into its substitution and
+evaluates both sides there with :func:`dsl.eval_ast`.
 
 One :class:`WorkerPool` serves every check of a command on its algebra: its
 processes start at the first check that pools and receive the algebra once;
@@ -23,11 +25,11 @@ pool of its own, which closes when the check returns.
 Each algebra keeps the result of every scan run on it, by the identity's
 key (``IdentityAst.key``) and mode, so identities that are the same bracket
 polynomial share one scan: a check whose key was scanned before builds its
-report from the stored result, re-evaluating the first counterexample with
-its own program.  An operator identity and its vector twin scan the same
-stream, every prefix followed by ``e_0 ... e_{d-1}``; the vector label
-reports its index and the violating columns, the operator label the
-prefix's index and the violating prefixes.
+report from the stored result as from a fresh scan, with its own identity's
+sides.  An operator identity and its vector twin scan the same stream, every
+prefix followed by ``e_0 ... e_{d-1}``; the vector label reports its index
+and the violating columns, the operator label the prefix's index and the
+violating prefixes.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import dsl
 from .core import Algebra, Operator, Vector, format_rational
@@ -219,19 +221,19 @@ def _scan(A: Algebra, ast: dsl.IdentityAst, exhaustive: bool,
     bounds = _chunk_bounds(total, pool.workers, A.dim if plan.column else 1)
     executor = pool.executor(len(bounds))
     text = dsl.format_identity(ast)
-    first, nviol, nprefixes, args = None, 0, 0, None
+    first, nviol, nprefixes = None, 0, 0
     futures = [executor.submit(_scan_chunk, s, e, exhaustive, text) for s, e in bounds]
     for fut in futures:  # submission order == stream order
-        f, n, p, a = fut.result()
+        f, n, p = fut.result()
         nviol += n
         nprefixes += p
         if f is not None and first is None:
-            first, args = f, a
+            first = f
             if not exhaustive:
                 for later in futures:
                     later.cancel()
                 break
-    return first, nviol, nprefixes, args, total
+    return first, nviol, nprefixes, total
 
 
 def _substitution(A: Algebra, plan: dsl.Program, index: int) -> tuple[Vector, ...]:
@@ -244,34 +246,31 @@ def _substitution(A: Algebra, plan: dsl.Program, index: int) -> tuple[Vector, ..
     return tuple(reversed(args))
 
 
-def run_check(A: Algebra, label: str, ast: dsl.IdentityAst, evaluate: Callable, *,
+def run_check(A: Algebra, label: str, ast: dsl.IdentityAst, *,
               exhaustive: bool = False, workers: int = 1,
               pool: WorkerPool | None = None) -> CheckReport:
     """Drive one check of ``ast``, reported as ``label``, over the full stream.
 
-    ``evaluate(A, args)`` re-evaluates the first counterexample.  The report
-    is a pure function of (algebra, identity, exhaustive): with several
-    workers the stream is scanned in order-preserving chunks and
+    The report is a pure function of (algebra, identity, exhaustive): with
+    several workers the stream is scanned in order-preserving chunks and
     ``substitutions_checked`` keeps its serial meaning.  ``pool``, a
     :class:`WorkerPool` on ``A``, scans in place of ``workers``; without
     one, a pooled check opens and closes a pool of its own.  A key that was
-    scanned on ``A`` before, in the same mode, is not scanned again.
+    scanned on ``A`` before, in the same mode, is not scanned again.  The
+    counterexample is the substitution at the scan's first index, evaluated
+    with :func:`dsl.eval_ast`.
     """
     if pool is None and workers != 1:
         with WorkerPool(A, workers) as pool:  # refuses workers < 1
-            return run_check(A, label, ast, evaluate, exhaustive=exhaustive, pool=pool)
+            return run_check(A, label, ast, exhaustive=exhaustive, pool=pool)
     if pool is not None and pool.algebra is not A:
         raise ValueError(f"the pool serves {pool.algebra.name!r}, not {A.name!r}")
     key = (ast.key, exhaustive)
-    found = A._scans.get(key)
-    if found is None:
-        first, nviol, nprefixes, args, total = _scan(A, ast, exhaustive, pool)
+    if key not in A._scans:
         # integers only, so that the stored scans add nothing for the
         # cyclic garbage collector to traverse
-        A._scans[key] = first, nviol, nprefixes, total
-    else:
-        first, nviol, nprefixes, total = found
-        args = None if first is None else _substitution(A, ast.plan, first)
+        A._scans[key] = _scan(A, ast, exhaustive, pool)
+    first, nviol, nprefixes, total = A._scans[key]
     operator = ast.level == "operator"  # one substitution per prefix; "_" is no variable
     if operator:
         total //= A.dim
@@ -279,10 +278,11 @@ def run_check(A: Algebra, label: str, ast: dsl.IdentityAst, evaluate: Callable, 
         return CheckReport(identity=label, algebra=A.name, holds=True,
                            substitutions_checked=total,
                            violations=0 if exhaustive else None)
+    args = dict(zip(ast.variables, _substitution(A, ast.plan, first)))
     if operator:
-        first, nviol, args = first // A.dim, nprefixes, args[:-1]
-    lhs, rhs = evaluate(A, args)
-    ce = Counterexample(substitution=tuple(zip(ast.variables, args)), left=lhs, right=rhs)
+        first, nviol = first // A.dim, nprefixes
+    lhs, rhs = dsl.eval_ast(A, ast, args)
+    ce = Counterexample(substitution=tuple(args.items()), left=lhs, right=rhs)
     return CheckReport(identity=label, algebra=A.name, holds=False,
                        substitutions_checked=total if exhaustive else first + 1,
                        counterexample=ce,
@@ -298,7 +298,7 @@ def check_builtin(A: Algebra, identity_id: str, *, exhaustive: bool = False,
         raise UnknownIdentityError(
             f"unknown identity {identity_id!r}; known: {', '.join(BUILTIN_IDENTITIES)}"
         ) from None
-    return run_check(A, ident.id, ident.ast, ident.evaluate,
+    return run_check(A, ident.id, ident.ast,
                      exhaustive=exhaustive, workers=workers, pool=pool)
 
 

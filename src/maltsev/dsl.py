@@ -564,30 +564,30 @@ class Program:
         return left, right
 
     def scan(self, A: Algebra, options: Sequence[Sequence[Vector]], start: int, stop: int,
-             exhaustive: bool) -> tuple[int | None, int, int, tuple[Vector, ...] | None]:
+             exhaustive: bool) -> tuple[int | None, int, int]:
         """Scan the canonical substitutions in [start, stop) of the product of ``options``.
 
         ``options`` holds one option list per slot, the last slot fastest,
         and ``stop`` is at most the product's length.  Returns the first
         canonical violating stream index (or None), the number of canonical
         violations and of *prefixes* (values of every slot but the last)
-        holding one, each times ``orbit``, and the substitution at the first
-        index (or None); without ``exhaustive`` the scan ends at the first
-        violation.  Scans of consecutive ranges find the stream's first
-        violation, and their counts add up to the stream's (see the module
-        docstring).  A column program compares column i of its operator
-        sides where a vector program compares the sides at i.
+        holding one, each times ``orbit``: stream positions only, which the
+        caller decodes into a substitution.  Without ``exhaustive`` the scan
+        ends at the first violation.  Scans of consecutive ranges find the
+        stream's first violation, and their counts add up to the stream's
+        (see the module docstring).  A column program compares column i of
+        its operator sides where a vector program compares the sides at i.
         """
         if start >= stop:
-            return None, 0, 0, None
+            return None, 0, 0
         n, runs, inner, lhs, rhs = self.nvars, self.runs, self.inner, self.lhs, self.rhs
         if not n:
             left, right = self.evaluate(A, ())
-            return (None, 0, 0, None) if left == right else (start, 1, 1, ())
+            return (None, 0, 0) if left == right else (start, 1, 1)
         prev = self.prev
         top = [len(o) - 1 - a for o, a in zip(options, self.after)]  # highest canonical index
         if min(top) < 0:  # a block has more slots than options: nothing is canonical
-            return None, 0, 0, None
+            return None, 0, 0
         strides = [1] * n  # stream index step of each slot
         for k in reversed(range(n - 1)):
             strides[k] = strides[k + 1] * len(options[k + 1])
@@ -599,7 +599,7 @@ class Program:
         for k in range(n):
             if idx[k] > top[k]:  # no canonical one agrees with idx on slots 0..k
                 if _advance(idx, k - 1, prev, top) < 0:
-                    return None, 0, 0, None
+                    return None, 0, 0
                 break
             if prev[k] >= 0 and idx[k] <= idx[prev[k]]:
                 idx[k] = idx[prev[k]]  # one below the lowest canonical index
@@ -608,10 +608,10 @@ class Program:
         last = n - 1
         base = sum(map(operator.mul, idx[:last], strides))  # stream index of the prefix
         if base + idx[last] >= stop:
-            return None, 0, 0, None
+            return None, 0, 0
         r = [o[i] for o, i in zip(options, idx)] + [None] * (self.size - n)
         fastest = options[last]
-        first, nviol, nprefixes, args, level = None, 0, 0, None, 0
+        first, nviol, nprefixes, level = None, 0, 0, 0
         memo_from = self.memo_from
         while True:
             for out, step in runs[level]:
@@ -631,15 +631,15 @@ class Program:
                             break
             if bad:
                 if first is None:
-                    first, args = base + bad[0], (*r[:last], fastest[bad[0]])
+                    first = base + bad[0]
                 if not exhaustive:
-                    return first, 1, 1, args
+                    return first, 1, 1
                 nviol += len(bad)
                 nprefixes += 1
             k = _advance(idx, last - 1, prev, top)
             base = sum(map(operator.mul, idx[:last], strides))
             if k < 0 or base + idx[last] >= stop:
-                return first, nviol * self.orbit, nprefixes * self.orbit, args
+                return first, nviol * self.orbit, nprefixes * self.orbit
             for j in range(k, last):
                 r[j] = options[j][idx[j]]
             if k <= memo_from:  # a memo step's value may now repeat
@@ -950,9 +950,5 @@ def check_identity(A: Algebra, ast: IdentityAst, *, exhaustive: bool = False,
                    workers: int = 1, pool: WorkerPool | None = None) -> CheckReport:
     """Check a parsed identity with the same contract as a builtin check."""
     from . import checker  # the checker is the layer above this module
-
-    def evaluate(A, args):
-        return eval_ast(A, ast, dict(zip(ast.variables, args)))
-
-    return checker.run_check(A, format_identity(ast), ast, evaluate,
+    return checker.run_check(A, format_identity(ast), ast,
                              exhaustive=exhaustive, workers=workers, pool=pool)

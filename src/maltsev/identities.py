@@ -29,8 +29,9 @@ class BuiltinIdentity:
     id: str
     formula: str  # the identity as stated, for display
     # (algebra, substituted vectors) -> (lhs, rhs) at one substitution: the
-    # compiled dsl_text.  The checker scans the stream with ``ast.plan`` and
-    # calls this only to re-evaluate a counterexample.
+    # compiled dsl_text.  The checker does not call it (it scans with
+    # ``ast.plan`` and evaluates a counterexample with ``dsl.eval_ast``); it
+    # stays for callers, and for perfbench's tracer, which wraps it.
     evaluate: Callable
     dsl_text: str
     ast: IdentityAst = field(kw_only=True, repr=False, compare=False)  # dsl_text parsed

@@ -139,12 +139,13 @@ def test_scan_reads_the_stream_from_its_chunk_start(nc3):
         for stop in range(start, len(stream) + 1, 7):
             inside = [i for i in bad if start <= i < stop]
             first = inside[0] if inside else None
-            witness = None if first is None else stream[first]
             prefixes = len({i // 3 for i in inside})  # z, the last variable, has 3 options
             assert (ast.plan.scan(nc3, options, start, stop, True)
-                    == (first, len(inside), prefixes, witness))
+                    == (first, len(inside), prefixes))
             assert (ast.plan.scan(nc3, options, start, stop, False)
-                    == (first, min(1, len(inside)), min(1, len(inside)), witness))
+                    == (first, min(1, len(inside)), min(1, len(inside))))
+            if first is not None:  # the report's substitution is the oracle's
+                assert checker._substitution(nc3, ast.plan, first) == stream[first]
 
 
 def test_exhaustive_on_holding_identity(so3):

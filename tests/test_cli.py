@@ -62,6 +62,23 @@ def test_check_failure_prints_counterexample_and_exits_1(capsys):
     assert "x = e1" in out
 
 
+def test_check_prints_an_operator_counterexample_as_matrix_rows(capsys):
+    code, out, _ = run(capsys, "check", "nc3", "--identity", "reductivity")
+    assert code == 1
+    assert out.splitlines() == [
+        "reductivity on nc3: FAILS (4 substitutions)",
+        "  counterexample: x = e1, y = e2, z = e1",
+        "  left:",
+        "    [0, 0, -2]",
+        "    [0, 0, -1]",
+        "    [0, 0, 0]",
+        "  right:",
+        "    [0, 0, 0]",
+        "    [0, 0, 0]",
+        "    [0, 0, 0]",
+    ]
+
+
 def test_check_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "check", "missing.alg.json")
     assert code == 2
@@ -136,6 +153,35 @@ def test_check_ambiguous_algebra_file_exits_2_without_traceback(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "duplicate key '1'" in proc.stderr
+
+
+_BASIS3 = {"name": "bad", "dim": 3, "basis": ["e1", "e2", "e3"]}
+
+
+@pytest.mark.parametrize("data,location", [
+    ([], "top level: expected an object, got list"),
+    ({**_BASIS3, "dim": 0}, "dim: expected a positive integer"),
+    ({**_BASIS3, "basis": ["e1", "e2"]}, "basis: expected a list of 3 labels"),
+    ({**_BASIS3, "basis": ["e1", "e1", "e2"]}, "basis: labels not distinct"),
+    ({**_BASIS3, "brackets": {}}, "brackets: expected a list"),
+    ({**_BASIS3, "brackets": [[0, 1]]}, "brackets[0]: expected an object"),
+    ({**_BASIS3, "brackets": [{"i": 0, "j": 3, "result": {}}]},
+     "brackets[0]: indices (0, 3) out of range for dim 3"),
+    ({**_BASIS3, "brackets": [{"i": 0, "j": 1, "result": ["1"]}]},
+     "brackets[0].result: expected an object"),
+    ({**_BASIS3, "brackets": [{"i": 0, "j": 1, "result": {"2": 1}}]},
+     "brackets[0].result['2']: expected a rational string"),
+], ids=["top-level", "dim", "basis-length", "basis-repeated", "brackets", "entry",
+        "indices", "result", "value"])
+def test_check_malformed_algebra_file_exits_2_with_its_location(tmp_path, capsys, data,
+                                                                location):
+    path = tmp_path / "bad.alg.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path), "--identity", "jacobi")
+    assert code == 2
+    assert out == ""
+    assert location in err
+    assert "Traceback" not in err
 
 
 def test_check_non_ascii_abelian_dimension_exits_2_without_traceback():

@@ -116,6 +116,18 @@ def test_bracket_dimension_mismatch(so3):
         bracket(so3, Vector([1, 0]), Vector([0, 1, 0]))
 
 
+@pytest.mark.parametrize("primitive,arity", [
+    (yamaguti, 3), (left_translation, 1), (sixfold_yamagutian, 2)],
+    ids=["yamaguti", "left_translation", "sixfold_yamagutian"])
+def test_primitive_dimension_mismatch_names_the_argument(so3, primitive, arity):
+    # the last argument has the wrong dimension, and the message names it
+    args = [so3.basis_vector(0)] * (arity - 1) + [Vector([1, 0])]
+    name = "xyz"[arity - 1]
+    with pytest.raises(DimensionMismatch,
+                       match=rf"{primitive.__name__}: {name} has dim 2, algebra 'so3' has dim 3"):
+        primitive(so3, *args)
+
+
 @given(alpha=rationals, beta=rationals, i=st.integers(0, 2), ip=st.integers(0, 2),
        j=st.integers(0, 2))
 def test_bracket_multilinearity(so3, alpha, beta, i, ip, j):

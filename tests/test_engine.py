@@ -209,10 +209,10 @@ CHUNK_ALGEBRAS = [A for A in SMALL if A.name in ("so3", "nc3", "rand3-0", "rand4
 
 @lru_cache(maxsize=None)
 def _chunk_scans(ast):
-    """For every chunk range on four small algebras: the range, the oracle's
-    canonical violating substitutions in it ({index: args}), the length of
-    the last slot's option list and the scan's results in exhaustive and
-    first-violation mode."""
+    """For every chunk range on four small algebras: the algebra, the range,
+    the oracle's canonical violating substitutions in it ({index: args}), the
+    length of the last slot's option list and the scan's results in
+    exhaustive and first-violation mode."""
     out = []
     plan = ast.plan
     for A in CHUNK_ALGEBRAS:
@@ -221,7 +221,7 @@ def _chunk_scans(ast):
         for start, stop in _ranges(options) if options else [(0, 1)]:
             inside = {i: args for i, args in bad.items()
                       if start <= i < stop and _canonical(plan, options, i)}
-            out.append((start, stop, inside, width,
+            out.append((A, start, stop, inside, width,
                         plan.scan(A, options, start, stop, True),
                         plan.scan(A, options, start, stop, False)))
     return out
@@ -230,19 +230,22 @@ def _chunk_scans(ast):
 @pytest.mark.parametrize("case", CASES, ids=[c[2] for c in CASES])
 def test_scan_matches_the_oracle_on_every_chunk_range(case):
     orbit = case[1].plan.orbit
-    for start, stop, inside, width, exhaustive, short in _chunk_scans(case[1]):
+    for _, start, stop, inside, width, exhaustive, short in _chunk_scans(case[1]):
         first = min(inside, default=None)
         prefixes = {i // width for i in inside}
-        assert exhaustive[:3] == (first, orbit * len(inside), orbit * len(prefixes)), (start, stop)
-        assert short[:3] == (first, min(1, len(inside)), min(1, len(inside))), (start, stop)
+        assert exhaustive == (first, orbit * len(inside), orbit * len(prefixes)), (start, stop)
+        assert short == (first, min(1, len(inside)), min(1, len(inside))), (start, stop)
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c[2] for c in CASES])
 def test_scan_returns_the_oracle_substitution_at_first(case):
-    for start, stop, inside, width, exhaustive, short in _chunk_scans(case[1]):
-        witness = inside[min(inside)] if inside else None
-        assert exhaustive[3] == witness, (start, stop)
-        assert short[3] == witness, (start, stop)
+    # the report decodes the scan's first index into the oracle's substitution
+    plan = case[1].plan
+    for A, start, stop, inside, width, exhaustive, short in _chunk_scans(case[1]):
+        if inside:
+            witness = inside[min(inside)]
+            assert checker._substitution(A, plan, exhaustive[0]) == witness, (start, stop)
+            assert checker._substitution(A, plan, short[0]) == witness, (start, stop)
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c[2] for c in CASES])
@@ -263,10 +266,12 @@ def test_chunk_partitions_add_up_to_the_oracle_stream(case):
             if plan.column:
                 assert sum(scan[2] for scan in scans) == len({i // width for i in bad})
             for mode in (True, False):
-                found = next((scan for s, e in bounds
-                              if (scan := plan.scan(A, options, s, e, mode))[0] is not None),
-                             (None, 0, 0, None))
-                assert (found[0], found[3]) == (first, bad.get(first)), (A.name, workers)
+                found = next((f for s, e in bounds
+                              if (f := plan.scan(A, options, s, e, mode)[0]) is not None),
+                             None)
+                assert found == first, (A.name, workers)
+                if found is not None:
+                    assert checker._substitution(A, plan, found) == bad[found], (A.name, workers)
 
 
 @pytest.mark.parametrize("workers", [2, 3, 4])

@@ -16,7 +16,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from maltsev import builtin, check_builtin, check_identity, dsl, format_identity
@@ -204,15 +204,16 @@ def _flipped(node, target):
     return flip(node), count
 
 
-@given(lhs=_expr_strategy, rhs=_expr_strategy, target=st.integers(0, 2 ** 16),
+@given(lhs=_expr_strategy, rhs=_expr_strategy, data=st.data(),
        seed=st.integers(0, 2 ** 16), dim=st.sampled_from([2, 3]))
-def test_flipping_a_binary_bracket_changes_no_report(lhs, rhs, target, seed, dim):
+def test_flipping_a_binary_bracket_changes_no_report(lhs, rhs, data, seed, dim):
     # [a,b] = -[b,a] in every algebra, so the flipped identity violates at the
     # same substitutions with the same sides, whichever program it compiles to
-    ast = _identity(lhs, rhs)
     left, right = _flipped(lhs, -1)[1], _flipped(rhs, -1)[1]
-    assume(left + right)
-    target %= left + right
+    if not left + right:  # no binary bracket to flip: bracket the two sides
+        lhs, left = Bracket((lhs, rhs)), 1
+    ast = _identity(lhs, rhs)
+    target = data.draw(st.integers(0, left + right - 1), label="target")
     sides = ((_flipped(lhs, target)[0], rhs) if target < left
              else (lhs, _flipped(rhs, target - left)[0]))
     flipped = IdentityAst(ast.variables, ast.multiplicities, *sides)
