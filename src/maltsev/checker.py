@@ -16,6 +16,13 @@ still ranges of the whole stream, and the chunk holding the first violation
 finds it.  Every report decodes the first index into its substitution and
 evaluates both sides there with :func:`dsl.eval_ast`.
 
+A scan pools only when its program has ``_PARALLEL_MIN`` scan units or
+more.  A unit is one canonical substitution of a vector program or one
+canonical prefix of a column program; the units are counted as the stream
+length divided by the orbit, and by the dimension for a column program.
+The decision depends on the program alone, so labels that share a scan,
+such as an operator identity and its vector twin, are judged alike.
+
 One :class:`WorkerPool` serves every check of a command on its algebra: its
 processes start at the first check that pools and receive the algebra once;
 each chunk carries the identity as text, and a worker parses each text once
@@ -45,7 +52,8 @@ from . import dsl
 from .core import Algebra, Operator, Vector, format_rational
 from .identities import BUILTIN_IDENTITIES, GLTS_AXIOM_IDS
 
-_PARALLEL_MIN = 256  # below this many substitutions, workers are pure overhead
+# below this many scan units a pooled scan is slower than a serial one
+_PARALLEL_MIN = 128
 _CHUNKS_PER_WORKER = 8
 
 
@@ -213,12 +221,12 @@ def _scan(A: Algebra, ast: dsl.IdentityAst, exhaustive: bool,
     plan = ast.plan
     options = [_options(A.dim, m) for m in plan.multiplicities]
     total = math.prod(map(len, options))
-    # the pool serves checks of _PARALLEL_MIN substitutions or more; an
-    # operator identity's stream holds dim columns per substitution
-    if (pool is None or pool.workers == 1
-            or total < _PARALLEL_MIN * (A.dim if ast.level == "operator" else 1)):
+    width = A.dim if plan.column else 1  # stream positions per prefix
+    # the pool serves programs of _PARALLEL_MIN scan units or more: the
+    # canonical substitutions, or canonical prefixes of dim columns each
+    if pool is None or pool.workers == 1 or total // (plan.orbit * width) < _PARALLEL_MIN:
         return (*plan.scan(A, options, 0, total, exhaustive), total)
-    bounds = _chunk_bounds(total, pool.workers, A.dim if plan.column else 1)
+    bounds = _chunk_bounds(total, pool.workers, width)
     executor = pool.executor(len(bounds))
     text = dsl.format_identity(ast)
     first, nviol, nprefixes = None, 0, 0

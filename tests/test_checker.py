@@ -22,7 +22,7 @@ from maltsev import checker, cli, dsl
 from maltsev.identities import BUILTIN_IDENTITIES, GLTS_AXIOM_IDS
 
 from . import oracle
-from .support import RANDOM_VECTOR_SEED, random_vector
+from .support import RANDOM_VECTOR_SEED, fresh, random_vector
 
 
 # ----------------------------------------------------- substitution stream
@@ -210,11 +210,28 @@ class _InlinePool:
 ])
 def test_pool_size_is_capped(monkeypatch, workers, cpus, expected):
     monkeypatch.setattr(checker, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(checker, "_PARALLEL_MIN", 1)  # glts-f has 64 scan units
     monkeypatch.setattr(checker.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     report = check_builtin(builtin("abelian(4)"), "glts-f", workers=workers)
     assert _InlinePool.sizes == [expected]
     assert report == check_builtin(builtin("abelian(4)"), "glts-f")
+
+
+@pytest.mark.parametrize("ident_id,units", [
+    ("glts-c", 57),           # vector program: 343 substitutions // orbit 6
+    ("sagle-yamaguti", 171),  # column program: 2401 columns // (orbit 2 * dim 7)
+    ("reductivity", 171),     # its operator twin, the same program
+])
+def test_a_program_pools_from_parallel_min_scan_units(monkeypatch, ident_id, units):
+    monkeypatch.setattr(checker, "ProcessPoolExecutor", _InlinePool)
+    m7 = builtin("m7")
+    want = check_builtin(m7, ident_id)
+    for threshold, pooled in ((units, True), (units + 1, False)):
+        monkeypatch.setattr(checker, "_PARALLEL_MIN", threshold)
+        monkeypatch.setattr(_InlinePool, "sizes", [])
+        assert check_builtin(fresh(m7), ident_id, workers=2) == want
+        assert bool(_InlinePool.sizes) == pooled, threshold
 
 
 def _count_parses(monkeypatch) -> list[str]:
@@ -243,6 +260,7 @@ def test_pooled_dsl_check_parses_once_per_worker(monkeypatch):
     # one shared pool scans two identities in both modes, so each identity
     # text reaches the worker in two checks' chunks
     monkeypatch.setattr(checker, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(checker, "_PARALLEL_MIN", 1)  # glts-d has 10 scan units
     monkeypatch.setattr(checker.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     monkeypatch.setattr(_InlinePool, "shutdowns", [])
@@ -263,6 +281,7 @@ def test_pooled_dsl_check_parses_once_per_worker(monkeypatch):
 def test_a_pooled_command_starts_one_pool_and_parses_each_text_once(
         monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(checker, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(checker, "_PARALLEL_MIN", 1)  # jacobi has 24 scan units
     monkeypatch.setattr(checker.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     monkeypatch.setattr(_InlinePool, "shutdowns", [])
@@ -295,9 +314,10 @@ def test_a_pool_serves_one_algebra(so3, sl2):
 # -------------------------------------------------------------- aggregates
 
 def test_check_glts_and_check_equivalence_share_one_pool(monkeypatch):
-    # abelian(4): glts-d, sagle-yamaguti and glts-f pool; m7: both
-    # equivalence checks pool
+    # abelian(4): sagle-yamaguti (32 scan units) and glts-f (64) pool; m7:
+    # both equivalence checks pool
     monkeypatch.setattr(checker, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(checker, "_PARALLEL_MIN", 32)
     monkeypatch.setattr(checker.os, "cpu_count", lambda: 2)
     for run, name in ((check_glts, "abelian(4)"), (check_equivalence, "m7")):
         monkeypatch.setattr(_InlinePool, "sizes", [])

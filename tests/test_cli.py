@@ -226,8 +226,10 @@ def started_pools(monkeypatch) -> list:
     (1, ("jacobi",), None),  # a violation cancels the chunks after it
     (2, ("ternary-antisymmetry",), "[x,y = 0\n"),  # parsed after the builtin
 ])
-def test_no_worker_outlives_a_pooled_command(started_pools, tmp_path, capsys,
-                                             code, identities, dsl_text):
+def test_no_worker_outlives_a_pooled_command(started_pools, monkeypatch, tmp_path,
+                                             capsys, code, identities, dsl_text):
+    # these identities have 24 and 57 scan units on m7: pool them all
+    monkeypatch.setattr(checker, "_PARALLEL_MIN", 1)
     argv = ["check", "m7", *(a for i in identities for a in ("--identity", i)),
             "--workers", "2"]
     if dsl_text is not None:

@@ -278,6 +278,7 @@ def test_chunk_partitions_add_up_to_the_oracle_stream(case):
 def test_pooled_reports_match_the_oracle(monkeypatch, workers):
     # each check runs on a fresh copy, so no stored scan stands in for the pool
     monkeypatch.setattr(checker, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(checker, "_PARALLEL_MIN", 1)  # glts-d has 10 scan units
     dim4 = [A for A in SMALL if A.dim == 4]
     for A in dim4:
         for ident_id in ("glts-f", "ternary-derivation", "hidden-assoc-operator", "glts-d"):

@@ -181,11 +181,24 @@ def test_pooled_twin_counts_where_the_dimension_does_not_divide_the_chunk(monkey
         assert len(_InlinePool.sizes) == 1
 
 
-def test_the_pool_threshold_counts_the_label_s_substitutions(monkeypatch):
-    # yamagutian-antisymmetry has 49 substitutions on m7 (343 columns): no pool
+# operator label and its vector twin -> the scan units of their one program
+# on m7, and whether that program pools
+M7_TWIN_UNITS = {
+    ("yamagutian-antisymmetry", "ternary-antisymmetry"): (24, False),
+    ("yamagutian-constraint", "glts-d"): (57, False),
+    ("reductivity", "sagle-yamaguti"): (171, True),
+}
+
+
+def test_the_pool_threshold_counts_the_program_s_scan_units(monkeypatch):
+    # each label alone on a fresh m7: a pair's labels scan one program, so
+    # they pool alike, whatever their levels
     monkeypatch.setattr(checker, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(_InlinePool, "sizes", [])
-    assert check_builtin(builtin("m7"), "yamagutian-antisymmetry", workers=2).holds
-    assert _InlinePool.sizes == []
-    assert check_builtin(builtin("m7"), "ternary-antisymmetry", workers=2).holds
-    assert _InlinePool.sizes == [2]
+    monkeypatch.setattr(checker.os, "cpu_count", lambda: 2)
+    m7 = builtin("m7")
+    for pair, (units, pools) in M7_TWIN_UNITS.items():
+        assert pools == (units >= checker._PARALLEL_MIN)
+        for ident_id in pair:
+            monkeypatch.setattr(_InlinePool, "sizes", [])
+            assert check_builtin(fresh(m7), ident_id, workers=2).holds
+            assert _InlinePool.sizes == ([2] if pools else []), ident_id
