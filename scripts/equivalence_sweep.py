@@ -11,7 +11,9 @@ import argparse
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+ROOT = Path(__file__).resolve().parent.parent
+# the checkout's package and test generators, whether or not maltsev is installed
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from maltsev import check_equivalence  # noqa: E402
 from maltsev.catalog import full_catalog  # noqa: E402
@@ -26,6 +28,8 @@ def main(argv=None) -> int:
     parser.add_argument("--verbose", action="store_true",
                         help="print one line per algebra")
     args = parser.parse_args(argv)
+    if args.count < 0:
+        parser.error(f"--count must be >= 0, got {args.count}")
 
     algebras = list(full_catalog()) + random_dim3_algebras(args.count, args.seed)
 

@@ -14,7 +14,9 @@ and the violation counts.  The program visits only the canonical
 substitutions of its antisymmetric blocks (see :mod:`.dsl`); pool chunks are
 still ranges of the whole stream, and the chunk holding the first violation
 finds it.  Every report decodes the first index into its substitution and
-evaluates both sides there with :func:`dsl.eval_ast`.
+evaluates both sides there with :func:`dsl.eval_ast`, which runs the
+identity's one-substitution program: a column program's operator sides are
+never built for a report.
 
 A scan pools only when its program has ``_PARALLEL_MIN`` scan units or
 more.  A unit is one canonical substitution of a vector program or one
@@ -246,12 +248,15 @@ def _scan(A: Algebra, ast: dsl.IdentityAst, exhaustive: bool,
 
 def _substitution(A: Algebra, plan: dsl.Program, index: int) -> tuple[Vector, ...]:
     """The substitution at ``index`` of ``plan``'s stream."""
-    args = []
+    dim, lists, args = A.dim, {}, []  # lists: multiplicity -> its option list
     for m in reversed(plan.multiplicities):
-        options = _options(A.dim, m)
+        options = lists.get(m)
+        if options is None:
+            options = lists[m] = _options(dim, m)
         index, i = divmod(index, len(options))
         args.append(options[i])
-    return tuple(reversed(args))
+    args.reverse()
+    return tuple(args)
 
 
 def run_check(A: Algebra, label: str, ast: dsl.IdentityAst, *,
@@ -266,7 +271,8 @@ def run_check(A: Algebra, label: str, ast: dsl.IdentityAst, *,
     one, a pooled check opens and closes a pool of its own.  A key that was
     scanned on ``A`` before, in the same mode, is not scanned again.  The
     counterexample is the substitution at the scan's first index, evaluated
-    with :func:`dsl.eval_ast`.
+    with :func:`dsl.eval_ast` (the identity's one-substitution program, not
+    the staged program that scanned), for fresh and stored scans alike.
     """
     if pool is None and workers != 1:
         with WorkerPool(A, workers) as pool:  # refuses workers < 1

@@ -44,6 +44,16 @@ The top-level coefficients of both sides are multiplied by the lcm ``L`` of
 their denominators, so a text such as ``1/6*[x,y,[z,w]] = ...`` scans in
 integers; ``Program.evaluate`` divides the sides by ``L`` again.
 
+A scan hands back stream positions only.  The sides of a counterexample
+come from a second, *one-substitution* program (``IdentityAst.evaluator``,
+compiled at the first counterexample): the same compiler, with every slot
+at one level, so no bracket is split into an operator and its ``apply``
+and no step is memoized.  It compiles the sides as written: a vector
+identity's last variable stays a variable, so its sides cost one
+``bracket`` or ``yamaguti`` per node and compose no operator, and an
+operator identity keeps ``_`` as its column.  :func:`eval_ast` and every
+builtin's ``evaluate`` run that program.
+
 A *column program* compares two operator sides column by column.  An
 operator identity compiles into one whose prefix is all of its variables:
 its stream is every substitution followed by ``_ = e_0 ... e_{d-1}``, and a
@@ -74,7 +84,8 @@ whose last variable is its ``_`` (its *twin*) share one scan, and so do
 ``1/6*`` texts and their integer forms.  An identity with a bracket whose
 expansion would exceed :data:`MAX_MONOMIALS` monomials is not expanded; it
 is its own key, so the key costs at most about that much per bracket.
-Builtin and user identities are checked through that one program.
+Builtin and user identities are scanned by the staged program and
+reported through the one-substitution program alike.
 
 ``Program.blocks`` are the key's *antisymmetric blocks*: sets of variables,
 none of them column-compiled, any two of which negate the key's polynomial
@@ -172,6 +183,11 @@ class IdentityAst:
     def plan(self) -> Program:
         """Both sides compiled into one staged program (see :class:`Program`)."""
         return _compile(self)
+
+    @cached_property
+    def evaluator(self) -> Program:
+        """Both sides compiled for one substitution at a time, unstaged."""
+        return _compile(self, staged=False)
 
     @cached_property
     def key(self) -> tuple | IdentityAst:
@@ -730,7 +746,7 @@ def _slots(ast: IdentityAst) -> tuple[Expr | None, tuple[int, ...], tuple[Expr, 
     return None, ast.multiplicities, sides
 
 
-def _compile(ast: IdentityAst) -> Program:
+def _compile(ast: IdentityAst, staged: bool = True) -> Program:
     """Compile both sides into one staged program.
 
     A bracket on vectors whose last argument has a higher level than the
@@ -739,15 +755,25 @@ def _compile(ast: IdentityAst) -> Program:
     argument; the operator's columns, filled on first use, then serve every
     value the last argument takes before ``a`` or ``b`` change, and an
     operator that leaves out a slower slot is a memo step (see :class:`Program`).
+
+    Unless ``staged``, the program evaluates one substitution: it compiles
+    the unoriented sides, a vector identity's last variable stays a
+    variable, and every slot has level 0, so no bracket is split, no step
+    is memoized and the program has no blocks.  A vector identity's sides
+    are then one ``bracket`` or ``yamaguti`` per node, with no operator.
     """
-    leaf, multiplicities, sides = ast.slots
+    if staged or ast.level == "operator":
+        leaf, multiplicities, sides = ast.slots
+    else:
+        leaf, multiplicities, sides = None, ast.multiplicities, (ast.lhs, ast.rhs)
     column = leaf is not None
     lcm = math.lcm(*(Fraction(_top_coefficient(t)[0]).denominator
                      for side in sides for t in _additive_terms(side)))
     if lcm != 1:
         sides = tuple(_rebuilt(side, lambda c, core: (int(c * lcm), core)) for side in sides)
     index = {name: i for i, name in enumerate(ast.variables)}
-    levels = list(range(1, len(multiplicities) + 1))  # register -> level
+    # register -> level
+    levels = list(range(1, len(multiplicities) + 1)) if staged else [0] * len(multiplicities)
     reads = [(k,) for k in range(len(multiplicities))]  # register -> the slots it reads
     steps, memos = [], {}  # memos: register of a memo step -> the slots it reads
     # (maker, constants, operands) -> register: a repeated subterm runs once
@@ -820,7 +846,8 @@ def _compile(ast: IdentityAst) -> Program:
             live.update(operands[out])
     steps = [step for step in steps if step[0] in live]
     return Program(multiplicities, steps, levels, lhs, rhs, column,
-                   Fraction(1, lcm) if lcm != 1 else 1, _blocks(ast.key), memos)
+                   Fraction(1, lcm) if lcm != 1 else 1, _blocks(ast.key) if staged else (),
+                   memos)
 
 
 class _TooLarge(Exception):
@@ -929,7 +956,8 @@ def _blocks(key: tuple | IdentityAst) -> tuple[tuple[int, ...], ...]:
 
 def eval_ast(A: Algebra, ast: IdentityAst,
              assignment: Mapping[str, Vector]) -> tuple[Value, Value]:
-    """Evaluate both sides exactly under a variable assignment.
+    """Evaluate both sides exactly under a variable assignment, with the
+    one-substitution program ``ast.evaluator``.
 
     The sides are vectors, or operators when the identity uses ``_``.
     """
@@ -943,7 +971,7 @@ def eval_ast(A: Algebra, ast: IdentityAst,
                 f"eval: variable {name!r} has dim {v.dim}, "
                 f"algebra {A.name!r} has dim {A.dim}")
         args.append(v)
-    return ast.plan.evaluate(A, args)
+    return ast.evaluator.evaluate(A, args)
 
 
 def check_identity(A: Algebra, ast: IdentityAst, *, exhaustive: bool = False,

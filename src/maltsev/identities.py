@@ -28,8 +28,9 @@ from .dsl import IdentityAst, parse_identity
 class BuiltinIdentity:
     id: str
     formula: str  # the identity as stated, for display
-    # (algebra, substituted vectors) -> (lhs, rhs) at one substitution: the
-    # compiled dsl_text.  The checker does not call it (it scans with
+    # (algebra, substituted vectors) -> (lhs, rhs) at one substitution:
+    # dsl_text's one-substitution program ``ast.evaluator``, which
+    # ``dsl.eval_ast`` runs too.  The checker does not call it (it scans with
     # ``ast.plan`` and evaluates a counterexample with ``dsl.eval_ast``); it
     # stays for callers, and for perfbench's tracer, which wraps it.
     evaluate: Callable
@@ -58,7 +59,7 @@ def _builtin(id: str, formula: str, dsl_text: str) -> BuiltinIdentity:
     ast = parse_identity(dsl_text)
 
     def evaluate(A, args):  # compiles the text on first use, not at import
-        return ast.plan.evaluate(A, args)
+        return ast.evaluator.evaluate(A, args)
 
     return BuiltinIdentity(id=id, formula=formula, evaluate=evaluate, dsl_text=dsl_text,
                            ast=ast)

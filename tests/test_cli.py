@@ -328,10 +328,30 @@ def test_table_bad_source_exits_2(capsys):
 
 # ------------------------------------------------------------------ scripts
 
+SWEEP = Path(__file__).resolve().parent.parent / "scripts" / "equivalence_sweep.py"
+
+
 def test_equivalence_sweep_script_runs():
-    script = Path(__file__).resolve().parent.parent / "scripts" / "equivalence_sweep.py"
-    proc = subprocess.run([sys.executable, str(script), "--count", "3"],
+    proc = subprocess.run([sys.executable, str(SWEEP), "--count", "3"],
                           capture_output=True, text=True, env=package_env())
     assert proc.returncode == 0, proc.stderr
     assert "8 algebras checked (catalog 5 + 3 random, seed 20260809)" in proc.stdout.splitlines()
     assert "verdicts disagree on 0" in proc.stdout
+
+
+def test_equivalence_sweep_script_rejects_a_negative_count():
+    proc = subprocess.run([sys.executable, str(SWEEP), "--count", "-3"],
+                          capture_output=True, text=True, env=package_env())
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--count must be >= 0, got -3" in proc.stderr
+
+
+def test_equivalence_sweep_script_runs_from_a_checkout_without_an_install(tmp_path):
+    # no PYTHONPATH, and a working directory outside the checkout: the
+    # script finds the package under src/ on its own
+    env = {k: v for k, v in package_env().items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(SWEEP), "--count", "0"],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "5 algebras checked (catalog 5 + 0 random, seed 20260809)" in proc.stdout.splitlines()

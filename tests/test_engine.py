@@ -16,7 +16,7 @@ from functools import lru_cache, partial
 
 import pytest
 
-from maltsev import Vector, builtin, check_builtin, check_identity, substitution_options
+from maltsev import Operator, Vector, builtin, check_builtin, check_identity, substitution_options
 from maltsev import checker, dsl
 from maltsev.catalog import full_catalog
 from maltsev.cli import main
@@ -345,16 +345,23 @@ def test_column_scan_eligibility_at_the_boundary(text, column):
 
 def test_column_programs_evaluate_like_the_oracle_at_random_vectors():
     # the sides are operators in the last variable, applied to it: exact at
-    # any rational vector, not only at the basis vectors the scan compares
+    # any rational vector, not only at the basis vectors the scan compares.
+    # The one-substitution program, which reports every counterexample,
+    # evaluates every case, in both levels, on m7 too
     asts = [case[1] for case in CASES if case[1].plan.column and case[1].level == "vector"]
     assert len(asts) == len(COLUMN_BUILTINS) + 14
+    column = set(map(id, asts))
     rng = random.Random(RANDOM_VECTOR_SEED)
-    for A in SMALL:
-        for ast in asts:
+    for A in [*SMALL, builtin("m7")]:
+        for _, ast, label in CASES:
+            zero = Operator if ast.level == "operator" else Vector
+            programs = [ast.evaluator, ast.plan] if id(ast) in column else [ast.evaluator]
             for _ in range(3):
                 env = {name: random_vector(rng, A.dim) for name in ast.variables}
-                want = tuple(oracle.eval_side(A, side, env, Vector) for side in (ast.lhs, ast.rhs))
-                assert ast.plan.evaluate(A, list(env.values())) == want, (A.name, ast)
+                want = tuple(oracle.eval_side(A, side, env, zero) for side in (ast.lhs, ast.rhs))
+                for program in programs:
+                    assert program.evaluate(A, list(env.values())) == want, (A.name, label)
+                assert dsl.eval_ast(A, ast, env) == want, (A.name, label)
 
 
 # memo steps: a linear map that leaves out a slower slot than its level is
@@ -410,12 +417,38 @@ def test_memo_tables_hold_at_most_the_product_of_their_slots_option_counts(monke
 
 def test_evaluate_runs_no_memo(monkeypatch):
     monkeypatch.setattr(dsl, "_memoized", None)
-    ast = BUILTIN_IDENTITIES["glts-f"].ast
-    assert ast.plan.memos
-    m7, args = builtin("m7"), [Vector.basis(7, k) for k in (0, 1, 2, 3, 4)]
-    env = dict(zip(ast.variables, args))
-    want = tuple(oracle.eval_side(m7, side, env, Vector) for side in (ast.lhs, ast.rhs))
-    assert ast.plan.evaluate(m7, args) == want
+    m7 = builtin("m7")
+    for ident_id in ("glts-f", "hidden-assoc-operator", "maltsev"):
+        ast = BUILTIN_IDENTITIES[ident_id].ast
+        assert ast.plan.memos and not ast.evaluator.memos and not ast.evaluator.blocks
+        zero = Operator if ast.level == "operator" else Vector
+        args = [Vector.basis(7, k) + Vector.basis(7, 6 - k) for k in range(len(ast.variables))]
+        env = dict(zip(ast.variables, args))
+        want = tuple(oracle.eval_side(m7, side, env, zero) for side in (ast.lhs, ast.rhs))
+        for program in (ast.plan, ast.evaluator):
+            assert program.evaluate(m7, args) == want, ident_id
+
+
+def test_a_column_compiled_counterexample_report_composes_no_operator(monkeypatch):
+    # the scan of sagle-yamaguti or maltsev composes operators; the report
+    # built from the stored scan evaluates its substitution one bracket per node
+    nc3 = fresh(builtin("nc3"))
+    dim3 = next(A for A in map(fresh, DIM3) if not oracle.check(A, "maltsev").holds)
+    composed = []
+    matmul = Operator.__matmul__
+    for A, ident_id in ((nc3, "sagle-yamaguti"), (dim3, "maltsev")):
+        assert BUILTIN_IDENTITIES[ident_id].ast.plan.column
+        with monkeypatch.context() as patch:
+            patch.setattr(Operator, "__matmul__", lambda P, Q: composed.append(1) or matmul(P, Q))
+            want = check_builtin(A, ident_id)
+        assert composed and not want.holds
+        assert want == oracle.check(A, ident_id)
+
+        def refuse(P, Q):
+            raise AssertionError("the report composed two operators")
+        with monkeypatch.context() as patch:
+            patch.setattr(Operator, "__matmul__", refuse)
+            assert check_builtin(A, ident_id) == want
 
 
 def test_identity_without_variables_holds_once(tmp_path, capsys):
