@@ -38,7 +38,10 @@ report from the stored result as from a fresh scan, with its own identity's
 sides.  An operator identity and its vector twin scan the same stream, every
 prefix followed by ``e_0 ... e_{d-1}``; the vector label reports its index
 and the violating columns, the operator label the prefix's index and the
-violating prefixes.
+violating prefixes.  A key that vanishes in the free anticommutative
+algebra (``IdentityAst.vanishes``) holds at every substitution, so it is
+stored as a scan with no violation over its whole stream, with no program
+compiled and no pool started.
 """
 from __future__ import annotations
 
@@ -269,7 +272,7 @@ def run_check(A: Algebra, label: str, ast: dsl.IdentityAst, *,
     ``substitutions_checked`` keeps its serial meaning.  ``pool``, a
     :class:`WorkerPool` on ``A``, scans in place of ``workers``; without
     one, a pooled check opens and closes a pool of its own.  A key that was
-    scanned on ``A`` before, in the same mode, is not scanned again.  The
+    scanned on ``A`` before, in the same mode, or that vanishes, is not scanned.  The
     counterexample is the substitution at the scan's first index, evaluated
     with :func:`dsl.eval_ast` (the identity's one-substitution program, not
     the staged program that scanned), for fresh and stored scans alike.
@@ -282,8 +285,10 @@ def run_check(A: Algebra, label: str, ast: dsl.IdentityAst, *,
     key = (ast.key, exhaustive)
     if key not in A._scans:
         # integers only, so that the stored scans add nothing for the
-        # cyclic garbage collector to traverse
-        A._scans[key] = _scan(A, ast, exhaustive, pool)
+        # cyclic garbage collector to traverse; a vanishing key holds at
+        # every substitution, so it needs no scan
+        A._scans[key] = ((None, 0, 0, substitution_count(A.dim, ast.slots[1])) if ast.vanishes
+                         else _scan(A, ast, exhaustive, pool))
     first, nviol, nprefixes, total = A._scans[key]
     operator = ast.level == "operator"  # one substitution per prefix; "_" is no variable
     if operator:

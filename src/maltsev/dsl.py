@@ -87,17 +87,23 @@ is its own key, so the key costs at most about that much per bracket.
 Builtin and user identities are scanned by the staged program and
 reported through the one-substitution program alike.
 
+``IdentityAst.normal`` is the key's polynomial in the free anticommutative
+algebra: ternary brackets expanded by their definition, then reduced
+modulo ``[a,a] = 0`` and ``[a,b] = -[b,a]`` (see :func:`_normal`).  Every
+:class:`Algebra` is anticommutative and computes ``[x,y,z]`` by that
+definition, so an identity whose normal form is 0 (``IdentityAst.vanishes``)
+holds at every substitution of every algebra, and the checker needs no scan.
+
 ``Program.blocks`` are the key's *antisymmetric blocks*: sets of variables,
-none of them column-compiled, any two of which negate the key's polynomial
-when swapped, once it is reduced modulo ``[a,b] = -[b,a]`` and
-``[a,b,c] = -[b,a,c]``, as every :class:`Algebra` is.  The violations are
-then closed under permuting each block, and none gives two variables of a
-block equal values, since there LHS - RHS equals its negative.  So a scan
-visits only the *canonical* substitutions, whose option indices increase
-along each block, and counts each violation it finds as its orbit of
-``Program.orbit`` (the product of the blocks' factorials).  A violation's
-first orbit member in stream order is canonical, so the first violation
-and every report stay those of the unreduced scan.
+none of them column-compiled, any two of which negate the normal form when
+swapped.  The violations are then closed under permuting each block, and
+none gives two variables of a block equal values, since there LHS - RHS
+equals its negative.  So a scan visits only the *canonical* substitutions,
+whose option indices increase along each block, and counts each violation
+it finds as its orbit of ``Program.orbit`` (the product of the blocks'
+factorials).  A violation's first orbit member in stream order is
+canonical, so the first violation and every report stay those of the
+unreduced scan.
 """
 from __future__ import annotations
 
@@ -193,6 +199,16 @@ class IdentityAst:
     def key(self) -> tuple | IdentityAst:
         """Equal for identities that one scan serves (see the module docstring)."""
         return _key(self)
+
+    @cached_property
+    def normal(self) -> tuple[dict, dict] | None:
+        """The key's polynomial in normal form, or None (see :func:`_normal_form`)."""
+        return _normal_form(self.key)
+
+    @cached_property
+    def vanishes(self) -> bool:
+        """Whether the key's polynomial is 0 in every anticommutative algebra."""
+        return self.normal is not None and not self.normal[0]
 
 
 class IdentitySyntaxError(ValueError):
@@ -846,7 +862,7 @@ def _compile(ast: IdentityAst, staged: bool = True) -> Program:
             live.update(operands[out])
     steps = [step for step in steps if step[0] in live]
     return Program(multiplicities, steps, levels, lhs, rhs, column,
-                   Fraction(1, lcm) if lcm != 1 else 1, _blocks(ast.key) if staged else (),
+                   Fraction(1, lcm) if lcm != 1 else 1, _blocks(ast) if staged else (),
                    memos)
 
 
@@ -900,53 +916,107 @@ def _key(ast: IdentityAst) -> tuple | IdentityAst:
     return tuple(terms), multiplicities, leaf is not None
 
 
-def _reduced(monomial: Monomial, names: Mapping[str, str]) -> tuple[int, str]:
-    """``monomial`` with its variables renamed by ``names``, modulo
-    ``[a,b] = -[b,a]`` and ``[a,b,c] = -[b,a,c]``: a sign and the text whose
-    brackets have their first two arguments in increasing order.  The sign
-    is 0 when the monomial vanishes, with two equal first arguments."""
+def _bracket(p: Sequence[tuple[int, Scalar]], q: Sequence[tuple[int, Scalar]],
+             numbers: dict, sign: int = 1) -> list[tuple[int, Scalar]]:
+    """``sign * [p,q]`` of two normal forms (see :func:`_normal`)."""
+    if len(p) * len(q) > MAX_MONOMIALS:
+        raise _TooLarge
+    out = []
+    for a, c in p:
+        c *= sign
+        for b, d in q:
+            if a != b:  # [a,a] = 0, and [a,b] = -[b,a]
+                pair, e = ((a, b), c * d) if a < b else ((b, a), -c * d)
+                out.append((numbers.setdefault(pair, len(numbers)), e))
+    return out
+
+
+def _normal(monomial: Monomial, numbers: dict) -> list[tuple[int, Scalar]]:
+    """A key monomial in the free anticommutative algebra: (monomial number,
+    coefficient) pairs, ternary brackets expanded by their definition.
+
+    ``numbers`` numbers each monomial when first met, a binary bracket by the
+    pair of its arguments' numbers in increasing order.  Those monomials are
+    a basis of the free anticommutative algebra.  Like :func:`_expand`, it
+    raises :class:`_TooLarge` past :data:`MAX_MONOMIALS` monomials per bracket.
+    """
     if isinstance(monomial, str):
-        return 1, names.get(monomial, monomial)
-    (s, a), (t, b), *rest = (_reduced(m, names) for m in monomial)
-    if a == b:
-        return 0, ""
-    sign = s * t * math.prod(u for u, _ in rest)
-    if a > b:
-        a, b, sign = b, a, -sign
-    return sign, "[" + ",".join((a, b, *(text for _, text in rest))) + "]"
+        return [(numbers[monomial], 1)]
+    args = [_normal(m, numbers) for m in monomial]
+    if len(args) == 2:
+        return _bracket(*args, numbers)
+    x, y, z = args  # [x,y,z] = [x,[y,z]] - [y,[x,z]] + [[x,y],z]
+    return [*_bracket(x, _bracket(y, z, numbers), numbers),
+            *_bracket(y, _bracket(x, z, numbers), numbers, -1),
+            *_bracket(_bracket(x, y, numbers), z, numbers)]
 
 
-def _blocks(key: tuple | IdentityAst) -> tuple[tuple[int, ...], ...]:
+def _normal_form(key: tuple | IdentityAst) -> tuple[dict[int, Scalar], dict] | None:
+    """The key's polynomial as {monomial number: coefficient} and the
+    ``numbers`` of :func:`_normal` (``v<k>`` is k, ``_`` the next), or None
+    for a key that is its identity or too large."""
+    if isinstance(key, IdentityAst):
+        return None
+    terms, multiplicities, column = key
+    numbers = {f"v{k}": k for k in range(len(multiplicities) - column)}
+    numbers["_"] = len(numbers)
+    poly: dict[int, Scalar] = {}
+    try:
+        for m, c in terms:
+            for n, d in _normal(m, numbers):
+                poly[n] = poly.get(n, 0) + c * d
+    except _TooLarge:
+        return None
+    return {n: c for n, c in poly.items() if c}, numbers
+
+
+def _blocks(ast: IdentityAst) -> tuple[tuple[int, ...], ...]:
     """The antisymmetric blocks of a key's program (see :class:`Program`).
 
     Slot k other than ``_`` is the key's variable ``v<k>``.  Two such slots
     of equal multiplicity are antisymmetric when swapping their variables
-    maps the key's polynomial, reduced by :func:`_reduced`, to its
-    negative; a block is a class of slots whose every pair is antisymmetric.
-    Swaps compose (the swap of ``a`` and ``c`` is that of ``a`` and ``b``
-    conjugated by that of ``b`` and ``c``), so each slot joins the first
-    block whose first slot it is antisymmetric to.  An identity that is its
-    own key has no blocks.
+    maps the key's normal form (``ast.normal``) to its negative; a block is
+    a class of slots whose every pair is antisymmetric.  Swaps compose (the
+    swap of ``a`` and ``c`` is that of ``a`` and ``b`` conjugated by that of
+    ``b`` and ``c``), so each slot joins the first block whose first slot it
+    is antisymmetric to.  A key without a normal form has no blocks.
     """
-    if isinstance(key, IdentityAst):
+    if ast.normal is None:
         return ()
-    terms, multiplicities, column = key
+    poly, numbers = ast.normal
+    _, multiplicities, column = ast.key
+    nvars = len(multiplicities) - column
+    monomials = list(numbers)  # by number: a variable's name or a bracket's pair
 
-    def reduced(names):
-        poly: dict[str, Scalar] = {}
-        for m, c in terms:
-            sign, text = _reduced(m, names)
-            if sign:
-                poly[text] = poly.get(text, 0) + sign * c
-        return {text: c for text, c in poly.items() if c}
+    def antisymmetric(i: int, j: int) -> bool:
+        # a swap maps each basis monomial to ± one, so it negates poly iff it
+        # negates each coefficient; memo: number -> the sign and number of
+        # its image (-1 if never met, so not in poly)
+        memo = {k: (1, k) for k in range(nvars + 1)}
+        memo[i], memo[j] = (1, j), (1, i)
 
-    minus = {text: -c for text, c in reduced({}).items()}
+        def renamed(n: int) -> tuple[int, int]:
+            a, b = monomials[n]
+            s, a = memo[a] if a in memo else renamed(a)
+            t, b = memo[b] if b in memo else renamed(b)
+            pair, sign = ((a, b), s * t) if a < b else ((b, a), -s * t)
+            memo[n] = out = sign, numbers.get(pair, -1)
+            return out
+
+        passed = set()  # a swap is an involution: the image of a passed monomial passes
+        for n, c in poly.items():
+            if n not in passed:
+                s, image = memo[n] if n in memo else renamed(n)
+                if poly.get(image) != -s * c:
+                    return False
+                passed.add(image)
+        return True
+
     blocks: list[list[int]] = []
-    for j in range(len(multiplicities) - column):
+    for j in range(nvars):
         for block in blocks:
             i = block[0]
-            if (multiplicities[i] == multiplicities[j]
-                    and reduced({f"v{i}": f"v{j}", f"v{j}": f"v{i}"}) == minus):
+            if multiplicities[i] == multiplicities[j] and antisymmetric(i, j):
                 block.append(j)
                 break
         else:

@@ -219,7 +219,7 @@ def test_pool_size_is_capped(monkeypatch, workers, cpus, expected):
 
 
 @pytest.mark.parametrize("ident_id,units", [
-    ("glts-c", 57),           # vector program: 343 substitutions // orbit 6
+    ("glts-d", 57),           # column program: 2401 columns // (orbit 6 * dim 7)
     ("sagle-yamaguti", 171),  # column program: 2401 columns // (orbit 2 * dim 7)
     ("reductivity", 171),     # its operator twin, the same program
 ])
@@ -288,7 +288,7 @@ def test_a_pooled_command_starts_one_pool_and_parses_each_text_once(
     # four checks that pool on m7, no two of them the same polynomial
     builtins = ("glts-d", "maltsev")
     lines = [dsl.format_identity(BUILTIN_IDENTITIES[i].ast)
-             for i in ("ternary-antisymmetry", "jacobi")]
+             for i in ("sagle-yamaguti", "jacobi")]
     path = tmp_path / "two.txt"
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     argv = ["check", "m7", "--identity", builtins[0], "--identity", builtins[1],

@@ -222,13 +222,13 @@ def started_pools(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("code,identities,dsl_text", [
-    (0, ("ternary-antisymmetry", "glts-c"), None),
+    (0, ("glts-d", "sagle-yamaguti"), None),
     (1, ("jacobi",), None),  # a violation cancels the chunks after it
-    (2, ("ternary-antisymmetry",), "[x,y = 0\n"),  # parsed after the builtin
+    (2, ("glts-d",), "[x,y = 0\n"),  # parsed after the builtin
 ])
 def test_no_worker_outlives_a_pooled_command(started_pools, monkeypatch, tmp_path,
                                              capsys, code, identities, dsl_text):
-    # these identities have 24 and 57 scan units on m7: pool them all
+    # these identities have 24 to 171 scan units on m7: pool them all
     monkeypatch.setattr(checker, "_PARALLEL_MIN", 1)
     argv = ["check", "m7", *(a for i in identities for a in ("--identity", i)),
             "--workers", "2"]
