@@ -32,16 +32,16 @@ and keeps its program for the later chunks.  A check given no pool opens a
 pool of its own, which closes when the check returns.
 
 Each algebra keeps the result of every scan run on it, by the identity's
-key (``IdentityAst.key``) and mode, so identities that are the same bracket
-polynomial share one scan: a check whose key was scanned before builds its
-report from the stored result as from a fresh scan, with its own identity's
-sides.  An operator identity and its vector twin scan the same stream, every
+key and mode.  The key (``IdentityAst.key``) is LHS - RHS in the free
+anticommutative algebra (see :mod:`.dsl`), so identities that are the same
+polynomial there share one scan: a check whose key was scanned before
+builds its report from the stored result as from a fresh scan, with its own
+identity's sides.  An operator identity and its vector twin scan the same stream, every
 prefix followed by ``e_0 ... e_{d-1}``; the vector label reports its index
 and the violating columns, the operator label the prefix's index and the
-violating prefixes.  A key that vanishes in the free anticommutative
-algebra (``IdentityAst.vanishes``) holds at every substitution, so it is
-stored as a scan with no violation over its whole stream, with no program
-compiled and no pool started.
+violating prefixes.  A key that is 0 (``IdentityAst.vanishes``) holds at
+every substitution, so it is stored as a scan with no violation over its
+whole stream, with no program compiled and no pool started.
 """
 from __future__ import annotations
 

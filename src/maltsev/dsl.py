@@ -71,32 +71,33 @@ brackets are not reordered).  The arithmetic is exact, so every value,
 count and first counterexample equals that of evaluating each substitution
 afresh.
 
-``IdentityAst.key`` names the scan a check needs.  LHS - RHS, oriented
-when its last variable is column-compiled, is expanded multilinearly into a
-sum of monomials in two free brackets, binary and ternary (no further
-anticommutativity), with a column-compiled last variable written as ``_``
-and the other variables renamed by position, then divided by its
-first coefficient; the key is that polynomial with the program's slot
-multiplicities and column flag.  Two identities with equal keys have sides
-whose differences are proportional at every substitution, so they violate
-at the same stream indices: an operator identity and the vector identity
-whose last variable is its ``_`` (its *twin*) share one scan, and so do
-``1/6*`` texts and their integer forms.  An identity with a bracket whose
-expansion would exceed :data:`MAX_MONOMIALS` monomials is not expanded; it
-is its own key, so the key costs at most about that much per bracket.
-Builtin and user identities are scanned by the staged program and
-reported through the one-substitution program alike.
-
-``IdentityAst.normal`` is the key's polynomial in the free anticommutative
-algebra: ternary brackets expanded by their definition, then reduced
-modulo ``[a,a] = 0`` and ``[a,b] = -[b,a]`` (see :func:`_normal`).  Every
+``IdentityAst.key`` names the scan a check needs: LHS - RHS in the free
+anticommutative algebra.  Ternary brackets are expanded by their
+definition, and the result is reduced modulo ``[a,a] = 0`` and
+``[a,b] = -[b,a]`` (see :func:`_expanded`).  Variable k is written k and
+``_`` as the number of variables, the slots they take in the program, so
+a column-compiled last variable and its twin's ``_`` (below) are one
+monomial.  The top-level coefficients are cleared to integers as in the
+program, and the polynomial is divided by its lead coefficient; the key is
+that polynomial, its monomials in canonical form (see :func:`_ordered`),
+with the program's slot multiplicities and column flag.  Every
 :class:`Algebra` is anticommutative and computes ``[x,y,z]`` by that
-definition, so an identity whose normal form is 0 (``IdentityAst.vanishes``)
-holds at every substitution of every algebra, and the checker needs no scan.
+definition, so two identities with equal keys have sides whose differences
+are proportional at every substitution, and they violate at the same stream
+indices.  An operator identity and the vector identity whose last variable
+is its ``_`` (its *twin*) share one scan, and so do ``1/6*`` texts and
+their integer forms, and texts that differ by anticommutativity or by a
+ternary bracket written out.  An identity whose key is 0
+(``IdentityAst.vanishes``) holds at every substitution of every algebra,
+and the checker needs no scan.  A bracket of two expanded arguments forms
+at most :data:`MAX_MONOMIALS` products; an identity that would need more is
+not expanded and is its own key.  Builtin and user identities are scanned
+by the staged program and reported through the one-substitution program
+alike.
 
 ``Program.blocks`` are the key's *antisymmetric blocks*: sets of variables,
-none of them column-compiled, any two of which negate the normal form when
-swapped.  The violations are then closed under permuting each block, and
+none of them column-compiled, any two of which negate the key's polynomial
+when swapped.  The violations are then closed under permuting each block, and
 none gives two variables of a block equal values, since there LHS - RHS
 equals its negative.  So a scan visits only the *canonical* substitutions,
 whose option indices increase along each block, and counts each violation
@@ -114,7 +115,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import product
 from typing import TYPE_CHECKING, Iterator, Mapping, Union
 
 from .core import (
@@ -200,15 +200,10 @@ class IdentityAst:
         """Equal for identities that one scan serves (see the module docstring)."""
         return _key(self)
 
-    @cached_property
-    def normal(self) -> tuple[dict, dict] | None:
-        """The key's polynomial in normal form, or None (see :func:`_normal_form`)."""
-        return _normal_form(self.key)
-
-    @cached_property
+    @property
     def vanishes(self) -> bool:
         """Whether the key's polynomial is 0 in every anticommutative algebra."""
-        return self.normal is not None and not self.normal[0]
+        return not isinstance(self.key, IdentityAst) and not self.key[0]
 
 
 class IdentitySyntaxError(ValueError):
@@ -783,8 +778,7 @@ def _compile(ast: IdentityAst, staged: bool = True) -> Program:
     else:
         leaf, multiplicities, sides = None, ast.multiplicities, (ast.lhs, ast.rhs)
     column = leaf is not None
-    lcm = math.lcm(*(Fraction(_top_coefficient(t)[0]).denominator
-                     for side in sides for t in _additive_terms(side)))
+    lcm = _lcm(sides)
     if lcm != 1:
         sides = tuple(_rebuilt(side, lambda c, core: (int(c * lcm), core)) for side in sides)
     index = {name: i for i, name in enumerate(ast.variables)}
@@ -870,79 +864,51 @@ class _TooLarge(Exception):
     pass
 
 
-Monomial = Union[str, tuple["Monomial", ...]]
+def _lcm(sides: Sequence[Expr]) -> int:
+    """The lcm of the denominators of the sides' top-level coefficients."""
+    return math.lcm(*(_top_coefficient(t)[0].denominator
+                      for side in sides for t in _additive_terms(side)))
 
 
-def _expand(node: Expr, names: Mapping[str, str]) -> dict[Monomial, Scalar]:
-    """``node`` as {monomial: coefficient}, brackets kept as free symbols.
-
-    A monomial is a variable's name in ``names``, ``"_"``, or a bracket: the
-    tuple of its arguments' monomials.
-    """
-    if isinstance(node, Var):
-        return {names[node.name]: 1}
-    if isinstance(node, Column):
-        return {"_": 1}
-    if isinstance(node, Scale):
-        return {m: node.coeff * c for m, c in _expand(node.child, names).items()}
-    if isinstance(node, Sum):
-        out: dict[Monomial, Scalar] = {}
-        for t in node.terms:
-            for m, c in _expand(t, names).items():
-                out[m] = out.get(m, 0) + c
-        return out
-    args = [_expand(a, names) for a in node.args]
-    if math.prod(map(len, args)) > MAX_MONOMIALS:
-        raise _TooLarge
-    return {tuple(m for m, _ in mono): math.prod(c for _, c in mono)
-            for mono in product(*(a.items() for a in args))}
-
-
-def _key(ast: IdentityAst) -> tuple | IdentityAst:
-    leaf, multiplicities, (lhs, rhs) = ast.slots
-    names = {name: f"v{i}" for i, name in enumerate(ast.variables)}
-    if isinstance(leaf, Var):  # the last variable is "_"
-        names[leaf.name] = "_"
-    try:
-        poly = _expand(lhs, names)
-        for m, c in _expand(rhs, names).items():
-            poly[m] = poly.get(m, 0) - c
-    except _TooLarge:
-        return ast
-    terms = sorted(((m, c) for m, c in poly.items() if c), key=lambda t: str(t[0]))
-    if terms:
-        lead = Fraction(terms[0][1])
-        terms = [(m, _canonical(c / lead)) for m, c in terms]
-    return tuple(terms), multiplicities, leaf is not None
-
-
-def _bracket(p: Sequence[tuple[int, Scalar]], q: Sequence[tuple[int, Scalar]],
-             numbers: dict, sign: int = 1) -> list[tuple[int, Scalar]]:
-    """``sign * [p,q]`` of two normal forms (see :func:`_normal`)."""
+def _bracket(p: Sequence[tuple[int, Scalar]], q: Sequence[tuple[int, Scalar]], numbers: dict,
+             sign: int = 1) -> list[tuple[int, Scalar]]:
+    """``sign * [p,q]`` of two expanded polynomials (see :func:`_expanded`)."""
     if len(p) * len(q) > MAX_MONOMIALS:
         raise _TooLarge
     out = []
+    number = numbers.setdefault
     for a, c in p:
         c *= sign
         for b, d in q:
-            if a != b:  # [a,a] = 0, and [a,b] = -[b,a]
-                pair, e = ((a, b), c * d) if a < b else ((b, a), -c * d)
-                out.append((numbers.setdefault(pair, len(numbers)), e))
+            if a < b:  # [a,a] = 0, and [a,b] = -[b,a]
+                out.append((number((a, b), len(numbers)), c * d))
+            elif a > b:
+                out.append((number((b, a), len(numbers)), -c * d))
     return out
 
 
-def _normal(monomial: Monomial, numbers: dict) -> list[tuple[int, Scalar]]:
-    """A key monomial in the free anticommutative algebra: (monomial number,
-    coefficient) pairs, ternary brackets expanded by their definition.
+def _expanded(node: Expr, index: Mapping[str, int], numbers: dict) -> list[tuple[int, Scalar]]:
+    """``node`` in the free anticommutative algebra, as (monomial number,
+    coefficient) pairs; a number may repeat.
 
-    ``numbers`` numbers each monomial when first met, a binary bracket by the
-    pair of its arguments' numbers in increasing order.  Those monomials are
-    a basis of the free anticommutative algebra.  Like :func:`_expand`, it
-    raises :class:`_TooLarge` past :data:`MAX_MONOMIALS` monomials per bracket.
+    Ternary brackets are expanded by their definition.  ``numbers`` numbers
+    each monomial when first met: variable k is k, ``_`` is ``len(index)``,
+    and a binary bracket is numbered by the pair of its arguments' numbers in
+    increasing order.  Those monomials are a basis of the free
+    anticommutative algebra.  A bracket of two expanded arguments that would
+    form more than :data:`MAX_MONOMIALS` products raises :class:`_TooLarge`.
     """
-    if isinstance(monomial, str):
-        return [(numbers[monomial], 1)]
-    args = [_normal(m, numbers) for m in monomial]
+    kind = type(node)  # the node classes have no subclasses
+    if kind is Var:
+        return [(index[node.name], 1)]
+    if kind is Column:
+        return [(len(index), 1)]
+    if kind is Scale:
+        c = node.coeff
+        return [(n, c * d) for n, d in _expanded(node.child, index, numbers)]
+    if kind is Sum:
+        return [term for t in node.terms for term in _expanded(t, index, numbers)]
+    args = [_expanded(a, index, numbers) for a in node.args]
     if len(args) == 2:
         return _bracket(*args, numbers)
     x, y, z = args  # [x,y,z] = [x,[y,z]] - [y,[x,z]] + [[x,y],z]
@@ -951,69 +917,89 @@ def _normal(monomial: Monomial, numbers: dict) -> list[tuple[int, Scalar]]:
             *_bracket(_bracket(x, y, numbers), z, numbers)]
 
 
-def _normal_form(key: tuple | IdentityAst) -> tuple[dict[int, Scalar], dict] | None:
-    """The key's polynomial as {monomial number: coefficient} and the
-    ``numbers`` of :func:`_normal` (``v<k>`` is k, ``_`` the next), or None
-    for a key that is its identity or too large."""
-    if isinstance(key, IdentityAst):
-        return None
-    terms, multiplicities, column = key
-    numbers = {f"v{k}": k for k in range(len(multiplicities) - column)}
-    numbers["_"] = len(numbers)
+def _ordered(sign: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """``sign * [a,b]`` of two canonical monomials, as (sign, canonical monomial).
+
+    A canonical monomial is a tuple of ints in prefix order: variable k is
+    ``(k,)``, and a bracket is ``-1`` followed by its arguments, the lesser
+    one first, so that tuples compare flat.
+    """
+    return (sign, (-1,) + a + b) if a < b else (-sign, (-1,) + b + a)
+
+
+def _key(ast: IdentityAst) -> tuple | IdentityAst:
+    leaf, multiplicities, _ = ast.slots
+    sides = (ast.lhs, ast.rhs)
+    lcm = _lcm(sides)
+    index = {name: k for k, name in enumerate(ast.variables)}
+    numbers: dict = {k: k for k in range(len(index) + 1)}  # the leaves, then pairs
     poly: dict[int, Scalar] = {}
     try:
-        for m, c in terms:
-            for n, d in _normal(m, numbers):
-                poly[n] = poly.get(n, 0) + c * d
+        for sign, side in zip((lcm, -lcm), sides):
+            for t in _additive_terms(side):
+                c, core = _top_coefficient(t)
+                c = c.numerator * (sign // c.denominator)  # lcm clears the denominator
+                for n, d in _expanded(core, index, numbers):
+                    poly[n] = poly.get(n, 0) + c * d
     except _TooLarge:
-        return None
-    return {n: c for n, c in poly.items() if c}, numbers
+        return ast
+    terms = []
+    if any(poly.values()):
+        # number -> (sign, canonical monomial); a pair's numbers come before it
+        canonical = [(1, (k,)) for k in range(len(index) + 1)]
+        for a, b in list(numbers)[len(canonical):]:
+            (s, a), (t, b) = canonical[a], canonical[b]
+            canonical.append(_ordered(s * t, a, b))
+        for n, c in poly.items():
+            if c:
+                s, m = canonical[n]
+                terms.append((m, s * c))
+        terms.sort()
+        lead = terms[0][1]
+        if lead != 1:
+            terms = [(m, -c if lead == -1 else _canonical(Fraction(c, lead))) for m, c in terms]
+    return tuple(terms), multiplicities, leaf is not None
 
 
 def _blocks(ast: IdentityAst) -> tuple[tuple[int, ...], ...]:
     """The antisymmetric blocks of a key's program (see :class:`Program`).
 
-    Slot k other than ``_`` is the key's variable ``v<k>``.  Two such slots
-    of equal multiplicity are antisymmetric when swapping their variables
-    maps the key's normal form (``ast.normal``) to its negative; a block is
-    a class of slots whose every pair is antisymmetric.  Swaps compose (the
-    swap of ``a`` and ``c`` is that of ``a`` and ``b`` conjugated by that of
-    ``b`` and ``c``), so each slot joins the first block whose first slot it
-    is antisymmetric to.  A key without a normal form has no blocks.
+    Slot k other than ``_`` is the key's variable k.  Two such slots of equal
+    multiplicity are antisymmetric when swapping their variables maps the
+    key's polynomial to its negative; a block is a class of slots whose every
+    pair is antisymmetric.  Swaps compose (the swap of ``a`` and ``c`` is that
+    of ``a`` and ``b`` conjugated by that of ``b`` and ``c``), so each slot
+    joins the first block whose first slot it is antisymmetric to.  A key
+    that is its identity has no blocks.
     """
-    if ast.normal is None:
+    if isinstance(ast.key, IdentityAst):
         return ()
-    poly, numbers = ast.normal
-    _, multiplicities, column = ast.key
-    nvars = len(multiplicities) - column
-    monomials = list(numbers)  # by number: a variable's name or a bracket's pair
+    terms, multiplicities, column = ast.key
+    poly = dict(terms)
 
     def antisymmetric(i: int, j: int) -> bool:
-        # a swap maps each basis monomial to ± one, so it negates poly iff it
-        # negates each coefficient; memo: number -> the sign and number of
-        # its image (-1 if never met, so not in poly)
-        memo = {k: (1, k) for k in range(nvars + 1)}
-        memo[i], memo[j] = (1, j), (1, i)
-
-        def renamed(n: int) -> tuple[int, int]:
-            a, b = monomials[n]
-            s, a = memo[a] if a in memo else renamed(a)
-            t, b = memo[b] if b in memo else renamed(b)
-            pair, sign = ((a, b), s * t) if a < b else ((b, a), -s * t)
-            memo[n] = out = sign, numbers.get(pair, -1)
-            return out
-
+        # a swap maps each canonical monomial to ± one, so it negates poly
+        # iff it negates each coefficient
+        swapped = {i: (j,), j: (i,)}
         passed = set()  # a swap is an involution: the image of a passed monomial passes
-        for n, c in poly.items():
-            if n not in passed:
-                s, image = memo[n] if n in memo else renamed(n)
-                if poly.get(image) != -s * c:
-                    return False
-                passed.add(image)
+        for m, c in terms:
+            if m in passed:
+                continue
+            stack = []  # the image of m, read back to front
+            for v in reversed(m):
+                if v >= 0:
+                    stack.append((1, swapped.get(v) or (v,)))
+                else:
+                    (s, a), (t, b) = stack.pop(), stack.pop()
+                    stack.append(_ordered(s * t, a, b))
+            (s, image), = stack
+            if poly.get(image) != -s * c:
+                return False
+            passed.add(image)
         return True
 
     blocks: list[list[int]] = []
-    for j in range(nvars):
+    for j in range(len(multiplicities) - column):
         for block in blocks:
             i = block[0]
             if multiplicities[i] == multiplicities[j] and antisymmetric(i, j):

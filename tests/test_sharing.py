@@ -50,12 +50,19 @@ def test_one_suite_run_scans_seven_times():
     assert len(A._scans) == 7
 
 
+# sagle-yamaguti with [x,y,[z,w]] written out by the definition of [x,y,z]
+SAGLE_YAMAGUTI_WRITTEN_OUT = (
+    "[x,[y,[z,w]]] - [y,[x,[z,w]]] + [[x,y],[z,w]] = [[x,y,z],w] + [z,[x,y,w]]")
+
+
 @pytest.mark.parametrize("text,twin", [
     ("[a,b,[c,d]] = [[a,b,c],d] + [c,[a,b,d]]", "sagle-yamaguti"),   # renamed
     ("[y,x] + [x,y] = 0", "anticommutativity"),                     # renamed by position
     ("1/6*[x,y,[z,w]] = 1/6*[[x,y,z],w] + 1/6*[z,[x,y,w]]", "sagle-yamaguti"),
     ("-2*[x,y,[z,w,_]] + 2*[z,w,[x,y,_]] = -2*[[x,y,z],w,_] - 2*[z,[x,y,w],_]", "glts-f"),
     ("[x,y,[z,w]] - [[x,y,z],w] = [z,[x,y,w]]", "sagle-yamaguti"),  # terms moved
+    (SAGLE_YAMAGUTI_WRITTEN_OUT, "sagle-yamaguti"),                  # [x,y,[z,w]] expanded
+    ("[[x,y],z,u] + [[y,z],x,u] - [[x,z],y,u] = 0", "glts-d"),       # [z,x] flipped
 ])
 def test_the_same_polynomial_shares(text, twin):
     assert parse_identity(text).key == BUILTIN_IDENTITIES[twin].ast.key
@@ -66,7 +73,7 @@ def test_the_same_polynomial_shares(text, twin):
 APART = [
     ("[x,y+y] = 0", "2*[x,y] = 0"),              # y has multiplicity 2, then 1
     ("[y+y,x] = 0", "2*[y,x] = 0"),              # the same, both column programs
-    ("[x,y] = [y,x]", "[x,y] = -1*[y,x]"),        # no anticommutativity in the key
+    ("[x,y] = [y,x]", "[x,y] = -1*[y,x]"),        # the second polynomial is 0
     ("[x,[y,z]] = 0", "[[x,y],z] = 0"),
     ("[x,y] = 0", "[x,y] = [x,y]"),              # the second polynomial is 0
 ]
@@ -109,11 +116,12 @@ def test_shared_reports_equal_unshared_ones_and_the_oracle(exhaustive):
 
 
 def test_dsl_lines_share_with_builtins_and_report_their_own_sides():
-    # a 1/6* line and a renamed line read the builtins' scans; each report
-    # carries the line's own sides and variable names
+    # a 1/6* line, a renamed line and a written-out line read the builtins'
+    # scans; each report carries the line's own sides and variable names
     texts = ("1/6*[x,y,[z,w]] = 1/6*[[x,y,z],w] + 1/6*[z,[x,y,w]]",
              "[a,b,[c,d]] = [[a,b,c],d] + [c,[a,b,d]]",
-             "1/3*[x,y,[z,_]] - 1/3*[z,[x,y,_]] = 1/3*[[x,y,z],_]")
+             "1/3*[x,y,[z,_]] - 1/3*[z,[x,y,_]] = 1/3*[[x,y,z],_]",
+             SAGLE_YAMAGUTI_WRITTEN_OUT)
     for A in (builtin("nc3"), *random_dim3_algebras(10, RANDOM_ALGEBRA_SEED)):
         for exhaustive in (False, True):
             B = fresh(A)
@@ -126,11 +134,11 @@ def test_dsl_lines_share_with_builtins_and_report_their_own_sides():
 
 
 def test_an_identity_too_large_to_expand_is_its_own_key():
-    side = "x + y"
-    for _ in range(12):  # 2**13 monomials
-        side = f"[{side},x + y]"
+    side = "x"
+    for _ in range(8):  # 2 * 3**7 monomials, none of them cancelling
+        side = f"[{side},x + y + z]"
     ast = parse_identity(f"{side} = 0")
-    assert 2 ** 13 > MAX_MONOMIALS
+    assert 2 * 3 ** 7 > MAX_MONOMIALS
     assert ast.key is ast
     A = builtin("nc3")
     assert check_identity(A, ast) == oracle.check_ast(A, ast, format_identity(ast))
