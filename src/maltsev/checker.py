@@ -251,11 +251,9 @@ def _scan(A: Algebra, ast: dsl.IdentityAst, exhaustive: bool,
 
 def _substitution(A: Algebra, plan: dsl.Program, index: int) -> tuple[Vector, ...]:
     """The substitution at ``index`` of ``plan``'s stream."""
-    dim, lists, args = A.dim, {}, []  # lists: multiplicity -> its option list
+    args = []
     for m in reversed(plan.multiplicities):
-        options = lists.get(m)
-        if options is None:
-            options = lists[m] = _options(dim, m)
+        options = _options(A.dim, m)
         index, i = divmod(index, len(options))
         args.append(options[i])
     args.reverse()

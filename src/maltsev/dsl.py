@@ -63,11 +63,11 @@ last variable ``v`` stands only where ``_`` may stand compiles with ``v`` as
 prefix, where it would compare the sides at ``v = e_l``.  By polarization
 that is exact: ``v`` has multiplicity 1, so its options are
 ``e_0 ... e_{d-1}`` in order, and each side is linear in ``v``, so its value
-at ``e_l`` is its column l.  That rule is tested on the *oriented* sides:
-each binary bracket ``[a,b]`` around ``v`` whose first argument holds it is
-written ``-[b,a]``, the signs collected in the term's top-level coefficient,
-which changes no term's value in an anticommutative algebra (ternary
-brackets are not reordered).  The arithmetic is exact, so every value,
+at ``e_l`` is its column l.  In that rule a binary bracket ``[a,b]``
+around ``v`` whose first argument holds it reads as ``-[b,a]``: the
+compiler swaps its arguments and folds the sign into the term's top-level
+coefficient, which changes no term's value in an anticommutative algebra
+(ternary brackets are not reordered).  The arithmetic is exact, so every value,
 count and first counterexample equals that of evaluating each substitution
 afresh.
 
@@ -114,7 +114,7 @@ import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, Mapping, Union
 
 from .core import (
@@ -181,8 +181,8 @@ class IdentityAst:
         return "operator" if uses else "vector"
 
     @cached_property
-    def slots(self) -> tuple[Expr | None, tuple[int, ...], tuple[Expr, Expr]]:
-        """The column leaf, the slot multiplicities and the sides to compile."""
+    def slots(self) -> tuple[Expr | None, tuple[int, ...]]:
+        """The column leaf and the slot multiplicities of the staged program."""
         return _slots(self)
 
     @cached_property
@@ -387,16 +387,25 @@ def _additive_terms(side: Expr) -> tuple[Expr, ...]:
     return side.terms if isinstance(side, Sum) else (side,)
 
 
-def _in_column(term: Expr, leaf: Expr) -> bool:
-    """Whether ``term`` holds ``leaf`` once, last in each bracket around it, in no sum."""
+def _column_sign(term: Expr, leaf: Expr) -> int:
+    """±1 when ``term`` holds ``leaf`` once, last in each bracket around it,
+    in no sum, reading a binary bracket ``[a,b]`` whose ``a`` holds it as
+    ``-[b,a]``: the product of those flips.  Otherwise 0."""
+    sign = 1
     while isinstance(term, (Scale, Bracket)):
         if isinstance(term, Scale):
             term = term.child
-        elif any(leaf in _walk(a) for a in term.args[:-1]):
-            return False
-        else:
-            term = term.args[-1]
-    return term == leaf
+            continue
+        args = term.args
+        if len(args) == 3:
+            if leaf in _walk(args[0]) or leaf in _walk(args[1]):
+                return 0
+        elif leaf in _walk(args[0]):
+            if leaf in _walk(args[1]):
+                return 0
+            args, sign = args[::-1], -sign
+        term = args[-1]
+    return sign if term == leaf else 0
 
 
 def _infer_variables(lhs: Expr, rhs: Expr) -> tuple[tuple[str, ...], tuple[int, ...]]:
@@ -573,19 +582,13 @@ class Program:
                               if k not in read), default=-1)
 
     def evaluate(self, A: Algebra, args: Sequence[Vector]) -> tuple[Value, Value]:
-        """Both sides at one substitution (vectors in ``variables`` order).
-
-        A column program given a vector for its ``_`` slot applies its
-        operator sides to it; given one vector fewer, it returns them.
-        """
+        """Both sides at one substitution (vectors in ``variables`` order)."""
         r = [*args, *[None] * (self.size - len(args))]
         # a step's level is at least its operands', so no step of runs[0]
         # uses one of inner
         for out, step in (*self.runs[0], *self.inner):
             r[out] = step(A, r)
         left, right = r[self.lhs], r[self.rhs]
-        if self.column and len(args) == self.nvars:
-            left, right = left.apply(args[-1]), right.apply(args[-1])
         if self.scale != 1:
             left, right = self.scale * left, self.scale * right
         return left, right
@@ -724,37 +727,18 @@ def _rebuilt(side: Expr, rewrite: Callable[[Scalar, Expr], tuple[Scalar, Expr]])
     return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
 
-def _oriented(leaf: Var, c: Scalar, node: Expr) -> tuple[Scalar, Expr]:
-    """``(d, n)`` with ``c * node = d * n`` in every anticommutative algebra:
-    each binary bracket ``[a,b]`` around ``leaf`` whose first argument holds
-    it becomes ``-[b,a]``."""
-    if isinstance(node, Scale):
-        c, child = _oriented(leaf, c, node.child)
-        return c, Scale(node.coeff, child)
-    if not isinstance(node, Bracket):
-        return c, node
-    *front, last = node.args
-    if len(front) == 1 and leaf in _walk(front[0]):
-        front, last, c = [last], front[0], -c
-    c, last = _oriented(leaf, c, last)
-    return c, Bracket((*front, last))
-
-
-def _slots(ast: IdentityAst) -> tuple[Expr | None, tuple[int, ...], tuple[Expr, Expr]]:
-    """The column leaf (``_``, the last variable or None), the slot
-    multiplicities and the sides to compile: oriented when the last variable
-    is the leaf (see the module docstring)."""
-    sides = (ast.lhs, ast.rhs)
+def _slots(ast: IdentityAst) -> tuple[Expr | None, tuple[int, ...]]:
+    """The column leaf (``_``, the last variable or None) and the slot
+    multiplicities (see the module docstring)."""
     if ast.level == "operator":
-        return Column(), (*ast.multiplicities, 1), sides
+        return Column(), (*ast.multiplicities, 1)
     if ast.variables:
         leaf = Var(ast.variables[-1])
-        oriented = tuple(_rebuilt(side, partial(_oriented, leaf)) for side in sides)
         if all(  # a literal 0 may follow a minus
-                _in_column(t, leaf) or t in (Sum(()), Scale(-1, Sum(())))
-                for side in oriented for t in _additive_terms(side)):
-            return leaf, ast.multiplicities, oriented
-    return None, ast.multiplicities, sides
+                _column_sign(t, leaf) or t in (Sum(()), Scale(-1, Sum(())))
+                for side in (ast.lhs, ast.rhs) for t in _additive_terms(side)):
+            return leaf, ast.multiplicities
+    return None, ast.multiplicities
 
 
 def _compile(ast: IdentityAst, staged: bool = True) -> Program:
@@ -766,21 +750,28 @@ def _compile(ast: IdentityAst, staged: bool = True) -> Program:
     argument; the operator's columns, filled on first use, then serve every
     value the last argument takes before ``a`` or ``b`` change, and an
     operator that leaves out a slower slot is a memo step (see :class:`Program`).
+    When the column leaf is the last variable, a binary bracket ``[a,b]``
+    whose ``a`` holds it compiles as ``[b,a]``, and each term's top-level
+    coefficient is multiplied by its :func:`_column_sign`.
 
     Unless ``staged``, the program evaluates one substitution: it compiles
-    the unoriented sides, a vector identity's last variable stays a
+    the sides as written, a vector identity's last variable stays a
     variable, and every slot has level 0, so no bracket is split, no step
     is memoized and the program has no blocks.  A vector identity's sides
     are then one ``bracket`` or ``yamaguti`` per node, with no operator.
     """
-    if staged or ast.level == "operator":
-        leaf, multiplicities, sides = ast.slots
-    else:
-        leaf, multiplicities, sides = None, ast.multiplicities, (ast.lhs, ast.rhs)
-    column = leaf is not None
+    leaf, multiplicities = (ast.slots if staged or ast.level == "operator"
+                            else (None, ast.multiplicities))
+    column, oriented = leaf is not None, isinstance(leaf, Var)
+    sides = (ast.lhs, ast.rhs)
     lcm = _lcm(sides)
-    if lcm != 1:
-        sides = tuple(_rebuilt(side, lambda c, core: (int(c * lcm), core)) for side in sides)
+
+    def cleared(c: Scalar, core: Expr) -> tuple[int, Expr]:
+        # times the sign of the brackets compile_node swaps (a literal 0 has none)
+        return int(c * lcm) * ((_column_sign(core, leaf) or 1) if oriented else 1), core
+
+    if lcm != 1 or oriented:
+        sides = tuple(_rebuilt(side, cleared) for side in sides)
     index = {name: i for i, name in enumerate(ast.variables)}
     # register -> level
     levels = list(range(1, len(multiplicities) + 1)) if staged else [0] * len(multiplicities)
@@ -834,6 +825,8 @@ def _compile(ast: IdentityAst, staged: bool = True) -> Program:
                     acc = emit(_add_step, (acc, compile_node(t, zero)[0]))
             return acc, is_operator
         *front, last = node.args
+        if oriented and len(front) == 1 and leaf in _walk(front[0]):  # [a,b] = -[b,a]
+            front, last = [last], front[0]
         front = tuple(compile_node(a, Vector)[0] for a in front)
         linear = _left_translation_step if len(front) == 1 else _sixfold_yamagutian_step
         if column and last == leaf:
@@ -928,7 +921,7 @@ def _ordered(sign: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tu
 
 
 def _key(ast: IdentityAst) -> tuple | IdentityAst:
-    leaf, multiplicities, _ = ast.slots
+    leaf, multiplicities = ast.slots
     sides = (ast.lhs, ast.rhs)
     lcm = _lcm(sides)
     index = {name: k for k, name in enumerate(ast.variables)}

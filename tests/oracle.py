@@ -10,7 +10,8 @@ stated ones, applied to the reported counterexample only.
 
 :func:`eval_side` evaluates any parsed identity by recursion over its AST,
 and :func:`check_ast` scans with it one substitution at a time: no
-registers, no stages and no partial maps.
+registers, no stages and no partial maps.  :func:`oriented` is the reading
+of a vector identity that the column rule tests.
 """
 from fractions import Fraction
 from itertools import product
@@ -246,6 +247,39 @@ def check_ast(A, ast, label, *, exhaustive=False, scanned=None) -> CheckReport:
     return CheckReport(
         identity=label, algebra=A.name, holds=not bad, substitutions_checked=count,
         counterexample=first, violations=len(bad) if exhaustive else None)
+
+
+def _holds(node, leaf):
+    """Whether ``leaf`` occurs in ``node``."""
+    if isinstance(node, Scale):
+        return _holds(node.child, leaf)
+    if isinstance(node, Sum):
+        return any(_holds(t, leaf) for t in node.terms)
+    if isinstance(node, Bracket):
+        return any(_holds(a, leaf) for a in node.args)
+    return node == leaf
+
+
+def oriented(node, leaf):
+    """``node`` with each binary bracket ``[a,b]`` whose ``a`` holds ``leaf``
+    written ``-[b,a]``: how the column rule reads a vector identity in its
+    last variable (ternary brackets are not reordered).
+
+    The signs go into the nearest scale, so the result is formattable.
+    """
+    if isinstance(node, Sum):
+        return Sum(tuple(oriented(t, leaf) for t in node.terms))
+    if isinstance(node, Scale):
+        child = oriented(node.child, leaf)
+        if isinstance(child, Scale):
+            return Scale(node.coeff * child.coeff, child.child)
+        return Scale(node.coeff, child)
+    if isinstance(node, Bracket):
+        args = tuple(oriented(a, leaf) for a in node.args)
+        if len(args) == 2 and _holds(args[0], leaf):
+            return Scale(-1, Bracket(args[::-1]))
+        return Bracket(args)
+    return node
 
 
 def column_twin(ast, name="col"):

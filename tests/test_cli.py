@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import multiprocessing
+import string
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from maltsev import checker, save_algebra
 from maltsev.cli import main
@@ -240,6 +245,71 @@ def test_no_worker_outlives_a_pooled_command(started_pools, monkeypatch, tmp_pat
     assert "Traceback" not in err
     assert len(started_pools) == 1
     assert multiprocessing.active_children() == []
+
+
+# DSL lines in at most four variables: vector lines, operator lines and
+# lines with "_" anywhere, binary brackets in both orders around a variable
+# or "_", and printable noise with no lowercase letter (no fifth variable)
+_NAMES = st.sampled_from(["x", "y", "z", "w"])
+_COEFFS = st.sampled_from(["2*", "-1*", "1/2*", "-3/4*", "0*"])
+
+
+def _expressions(atoms):
+    return st.recursive(atoms, lambda inner: st.one_of(
+        st.tuples(inner, inner).map("[{0[0]},{0[1]}]".format),
+        st.tuples(inner, inner, inner).map("[{0[0]},{0[1]},{0[2]}]".format),
+        st.tuples(_COEFFS, inner).map("".join),
+        st.tuples(inner, inner).map("{0[0]} + {0[1]}".format)), max_leaves=4)
+
+
+_plain = _expressions(_NAMES)
+
+
+def _around(leaf):
+    return st.recursive(leaf, lambda inner: st.one_of(
+        st.tuples(_plain, inner).map("[{0[0]},{0[1]}]".format),
+        st.tuples(inner, _plain).map("[{0[0]},{0[1]}]".format),
+        st.tuples(_plain, _plain, inner).map("[{0[0]},{0[1]},{0[2]}]".format),
+        st.tuples(_COEFFS, inner).map("".join)), max_leaves=4)
+
+
+def _lines(term):
+    side = st.lists(st.tuples(st.sampled_from([" + ", " - "]), term | st.just("0")),
+                    min_size=1, max_size=3).map(lambda ts: "".join(o + t for o, t in ts)[3:])
+    return st.tuples(side, side).map(" = ".join)
+
+
+_line = st.one_of(_lines(_plain | _around(_NAMES)), _lines(_around(st.just("_"))),
+                  _lines(_expressions(_NAMES | st.just("_")) | _around(_NAMES)))
+_noise = st.text(string.punctuation + string.digits + string.ascii_uppercase + " ",
+                 min_size=1, max_size=3)
+_dsl_lines = st.one_of(
+    _line,
+    st.tuples(_line, st.integers(0, 80), _noise).map(lambda t: t[0][:t[1]] + t[2] + t[0][t[1]:]),
+    _noise)
+
+
+@pytest.fixture(scope="module")
+def dsl_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract") / "identities.txt"
+
+
+@given(line=_dsl_lines)
+def test_check_dsl_keeps_the_exit_contract(dsl_file, line):
+    dsl_file.write_text(line + "\n", encoding="utf-8")
+    for algebra in ("so3", "nc3"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", algebra, "--dsl", str(dsl_file), "--json", "--workers", "1"])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2), line
+        assert "Traceback" not in out + err, line
+        if code == 2:
+            assert not out and err.startswith("error:"), line
+        else:
+            assert not err, line
+            reports = json.loads(out)
+            assert (code == 1) == any(not r["holds"] for r in reports), line
 
 
 def test_check_json_and_text_verdicts_agree(capsys):

@@ -22,6 +22,7 @@ from maltsev.cli import main
 from maltsev.dsl import MAX_NESTING, Bracket, Column, Scale, Sum, Var
 from maltsev.identities import BUILTIN_IDENTITIES
 
+from . import oracle
 from .support import RANDOM_VECTOR_SEED, random_algebra, random_vector
 
 
@@ -182,14 +183,15 @@ def test_roundtrip_random_asts(lhs, rhs):
 def test_column_rules_of_parser_and_compiler_agree(lhs, rhs):
     # the parser checks where "_" may stand on its tokens; the compiler takes
     # the last variable as the column variable by the same rule on the AST,
-    # once the binary brackets around it are oriented
+    # reading the binary brackets around it as oriented (oracle.oriented)
     from maltsev.dsl import IdentityAst, _infer_variables
     variables, multiplicities = _infer_variables(lhs, rhs)
     mult = dict(zip(variables, multiplicities))
     for v in variables:
         order = (*(n for n in variables if n != v), v)
         ast = IdentityAst(order, tuple(mult[n] for n in order), lhs, rhs)
-        text = format_identity(IdentityAst(order, ast.multiplicities, *ast.slots[2]))
+        sides = (oracle.oriented(side, Var(v)) for side in (lhs, rhs))
+        text = format_identity(IdentityAst(order, ast.multiplicities, *sides))
         try:
             parse_identity(text.replace(v, "_"))
         except IdentitySyntaxError:
