@@ -221,6 +221,8 @@ def load_algebra(path: str | Path) -> Algebra:
         data = json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:  # a JSONDecodeError or a repeated key
         raise AlgebraFileError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise AlgebraFileError(f"{path}: invalid JSON: nested too deeply") from None
     return data_to_algebra(data, source=str(path))
 
 

@@ -64,12 +64,11 @@ prefix, where it would compare the sides at ``v = e_l``.  By polarization
 that is exact: ``v`` has multiplicity 1, so its options are
 ``e_0 ... e_{d-1}`` in order, and each side is linear in ``v``, so its value
 at ``e_l`` is its column l.  In that rule a binary bracket ``[a,b]``
-around ``v`` whose first argument holds it reads as ``-[b,a]``: the
-compiler swaps its arguments and folds the sign into the term's top-level
-coefficient, which changes no term's value in an anticommutative algebra
-(ternary brackets are not reordered).  The arithmetic is exact, so every value,
-count and first counterexample equals that of evaluating each substitution
-afresh.
+around ``v`` whose first argument holds it reads as ``-[b,a]``, and so
+the compiler compiles it when that argument compiled to an operator, with
+the sign on the term's top-level coefficient (ternary brackets are not
+reordered).  The arithmetic is exact, so every value, count and first
+counterexample equals that of evaluating each substitution afresh.
 
 ``IdentityAst.key`` names the scan a check needs: LHS - RHS in the free
 anticommutative algebra.  Ternary brackets are expanded by their
@@ -317,14 +316,12 @@ class _Parser:
         if self.peek()[0] == "-":
             self.advance()
             negated = True
-        num_tok = self.expect("int", "an integer")
-        value: Scalar = int(num_tok[1])
+        num_tok, value = self.integer()
         has_slash = False
         if self.peek()[0] == "/":
             self.advance()
             has_slash = True
-            den_tok = self.expect("int", "an integer")
-            den = int(den_tok[1])
+            den_tok, den = self.integer()
             if den == 0:
                 raise IdentitySyntaxError(den_tok[2], den_tok[3], repr(den_tok[1]),
                                           ("a nonzero denominator",))
@@ -334,6 +331,14 @@ class _Parser:
             value = -value
         is_bare_zero = not negated and not has_slash and num_tok[1] == "0"
         return value, is_bare_zero
+
+    def integer(self) -> tuple[_Token, int]:
+        tok = self.expect("int", "an integer")
+        try:
+            return tok, int(tok[1])
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise IdentitySyntaxError(tok[2], tok[3], f"an integer of {len(tok[1])} digits",
+                                      ("a shorter integer",)) from None
 
     def factor(self) -> Expr:
         kind = self.peek()[0]
@@ -717,14 +722,13 @@ def _top_coefficient(term: Expr) -> tuple[Scalar, Expr]:
     return c, term
 
 
-def _rebuilt(side: Expr, rewrite: Callable[[Scalar, Expr], tuple[Scalar, Expr]]) -> Expr:
-    """``side`` with each additive term ``c * t`` (``c`` its top-level
-    coefficient) replaced by ``rewrite(c, t)``."""
-    terms = []
-    for t in _additive_terms(side):
-        c, core = rewrite(*_top_coefficient(t))
-        terms.append(core if c == 1 else Scale(c, core))
-    return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+def _cleared(ast: IdentityAst) -> tuple[int, list[list[tuple[int, Expr]]]]:
+    """The lcm ``L`` of the sides' top-level denominators, and each side's additive
+    terms as (top-level coefficient times ``L``, the term without its outer scales)."""
+    sides = [[_top_coefficient(t) for t in _additive_terms(side)] for side in (ast.lhs, ast.rhs)]
+    lcm = math.lcm(*[c.denominator for side in sides for c, _ in side])
+    return lcm, sides if lcm == 1 else [[(c.numerator * (lcm // c.denominator), t)
+                                         for c, t in side] for side in sides]
 
 
 def _slots(ast: IdentityAst) -> tuple[Expr | None, tuple[int, ...]]:
@@ -750,9 +754,9 @@ def _compile(ast: IdentityAst, staged: bool = True) -> Program:
     argument; the operator's columns, filled on first use, then serve every
     value the last argument takes before ``a`` or ``b`` change, and an
     operator that leaves out a slower slot is a memo step (see :class:`Program`).
-    When the column leaf is the last variable, a binary bracket ``[a,b]``
-    whose ``a`` holds it compiles as ``[b,a]``, and each term's top-level
-    coefficient is multiplied by its :func:`_column_sign`.
+    A binary bracket ``[a,b]`` whose ``a`` compiles to an operator (``a``
+    holds the column leaf) compiles as ``-[b,a]``, and the sign goes to the
+    top-level coefficient of the term, as :func:`_cleared` gives it.
 
     Unless ``staged``, the program evaluates one substitution: it compiles
     the sides as written, a vector identity's last variable stays a
@@ -762,16 +766,8 @@ def _compile(ast: IdentityAst, staged: bool = True) -> Program:
     """
     leaf, multiplicities = (ast.slots if staged or ast.level == "operator"
                             else (None, ast.multiplicities))
-    column, oriented = leaf is not None, isinstance(leaf, Var)
-    sides = (ast.lhs, ast.rhs)
-    lcm = _lcm(sides)
-
-    def cleared(c: Scalar, core: Expr) -> tuple[int, Expr]:
-        # times the sign of the brackets compile_node swaps (a literal 0 has none)
-        return int(c * lcm) * ((_column_sign(core, leaf) or 1) if oriented else 1), core
-
-    if lcm != 1 or oriented:
-        sides = tuple(_rebuilt(side, cleared) for side in sides)
+    column = leaf is not None
+    lcm, sides = _cleared(ast)
     index = {name: i for i, name in enumerate(ast.variables)}
     # register -> level
     levels = list(range(1, len(multiplicities) + 1)) if staged else [0] * len(multiplicities)
@@ -805,41 +801,51 @@ def _compile(ast: IdentityAst, staged: bool = True) -> Program:
         composed[out] = (p, q)
         return out
 
-    def compile_node(node: Expr, zero: type) -> tuple[int, bool]:
-        """The register of ``node`` and whether it holds an operator."""
+    def compile_sum(terms: Sequence[tuple[Scalar, Expr]], zero: type) -> tuple[int, bool, int]:
+        """``compile_node`` of the sum of ``c * t`` over the pairs ``(c, t)`` of ``terms``."""
+        acc, is_operator = None, zero is Operator
+        for c, t in terms:
+            if isinstance(t, Sum) and not t.terms:  # a literal 0 adds nothing
+                continue
+            reg, is_operator, sign = compile_node(t, zero)
+            reg, c = placed(reg), c * sign
+            if acc is not None and c == -1:
+                acc = emit(_sub_step, (acc, reg))
+            else:
+                reg = reg if c == 1 else emit(_scale_step, (reg,), c)
+                acc = reg if acc is None else emit(_add_step, (acc, reg))
+        return (emit(_zero_step, (), zero) if acc is None else acc), is_operator, 1
+
+    def placed(reg: int | None) -> int:  # the register of the leaf outside a bracket
+        return emit(_identity_step, ()) if reg is None else reg
+
+    def compile_node(node: Expr, zero: type) -> tuple[int | None, bool, int]:
+        """(register or None for the leaf, holds an operator, sign s): ``node = s * register``."""
         if column and node == leaf:
-            return emit(_identity_step, ()), True
+            return None, True, 1
         if isinstance(node, Var):
-            return index[node.name], False
+            return index[node.name], False, 1
         if isinstance(node, Scale):
-            reg, is_operator = compile_node(node.child, zero)
-            return emit(_scale_step, (reg,), node.coeff), is_operator
+            reg, is_operator, sign = compile_node(node.child, zero)
+            return emit(_scale_step, (placed(reg),), node.coeff), is_operator, sign
         if isinstance(node, Sum):
-            if not node.terms:
-                return emit(_zero_step, (), zero), zero is Operator
-            acc, is_operator = compile_node(node.terms[0], zero)
-            for t in node.terms[1:]:
-                if isinstance(t, Scale) and t.coeff == -1:
-                    acc = emit(_sub_step, (acc, compile_node(t.child, zero)[0]))
-                else:
-                    acc = emit(_add_step, (acc, compile_node(t, zero)[0]))
-            return acc, is_operator
-        *front, last = node.args
-        if oriented and len(front) == 1 and leaf in _walk(front[0]):  # [a,b] = -[b,a]
-            front, last = [last], front[0]
-        front = tuple(compile_node(a, Vector)[0] for a in front)
+            return compile_sum([_top_coefficient(t) for t in node.terms], zero)
+        args = [compile_node(a, Vector) for a in node.args]
+        flip = len(args) == 2 and args[0][1]  # [a,b] = -[b,a]: the operator goes last
+        *front, (reg, is_operator, sign) = args[::-1] if flip else args
+        front, sign = tuple(f[0] for f in front), -sign if flip else sign
         linear = _left_translation_step if len(front) == 1 else _sixfold_yamagutian_step
-        if column and last == leaf:
-            return emit(linear, front), True
-        reg, is_operator = compile_node(last, Vector)
+        if reg is None:  # a bracket around the leaf is l+_a or 6Y(a;b) itself
+            return emit(linear, front), True, sign
         if is_operator:
-            return compose(emit(linear, front), reg), True
+            return compose(emit(linear, front), reg), True, sign
         if levels[reg] > max(levels[i] for i in front):
-            return emit(_apply_step, (emit(linear, front), reg)), False
-        return emit(_bracket_step if len(front) == 1 else _yamaguti_step, (*front, reg)), False
+            return emit(_apply_step, (emit(linear, front), reg)), False, sign
+        step = _bracket_step if len(front) == 1 else _yamaguti_step
+        return emit(step, (*front, reg)), False, sign
 
     zero = Operator if column else Vector
-    lhs, rhs = (compile_node(side, zero)[0] for side in sides)
+    lhs, rhs = (compile_sum(side, zero)[0] for side in sides)
     # regrouping leaves compositions that no side reads: drop them (a step's
     # operands come before it)
     operands = {out: key[2] for key, out in registers.items()}
@@ -855,12 +861,6 @@ def _compile(ast: IdentityAst, staged: bool = True) -> Program:
 
 class _TooLarge(Exception):
     pass
-
-
-def _lcm(sides: Sequence[Expr]) -> int:
-    """The lcm of the denominators of the sides' top-level coefficients."""
-    return math.lcm(*(_top_coefficient(t)[0].denominator
-                      for side in sides for t in _additive_terms(side)))
 
 
 def _bracket(p: Sequence[tuple[int, Scalar]], q: Sequence[tuple[int, Scalar]], numbers: dict,
@@ -922,16 +922,13 @@ def _ordered(sign: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tu
 
 def _key(ast: IdentityAst) -> tuple | IdentityAst:
     leaf, multiplicities = ast.slots
-    sides = (ast.lhs, ast.rhs)
-    lcm = _lcm(sides)
     index = {name: k for k, name in enumerate(ast.variables)}
     numbers: dict = {k: k for k in range(len(index) + 1)}  # the leaves, then pairs
     poly: dict[int, Scalar] = {}
     try:
-        for sign, side in zip((lcm, -lcm), sides):
-            for t in _additive_terms(side):
-                c, core = _top_coefficient(t)
-                c = c.numerator * (sign // c.denominator)  # lcm clears the denominator
+        for sign, side in zip((1, -1), _cleared(ast)[1]):
+            for c, core in side:
+                c *= sign
                 for n, d in _expanded(core, index, numbers):
                     poly[n] = poly.get(n, 0) + c * d
     except _TooLarge:

@@ -185,9 +185,10 @@ def test_load_rejects_bool_indices(tmp_path):
 
 def test_load_rejects_invalid_json(tmp_path):
     path = tmp_path / "broken.alg.json"
-    path.write_text("{not json", encoding="utf-8")
-    with pytest.raises(AlgebraFileError, match="invalid JSON"):
-        load_algebra(path)
+    for text in ("{not json", "[" * 200_000):  # the second nests too deeply to decode
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(AlgebraFileError, match="invalid JSON"):
+            load_algebra(path)
 
 
 def test_validate_algebra_data_collects_everything():

@@ -148,6 +148,16 @@ def test_check_deeply_nested_dsl_exits_2_without_traceback(tmp_path):
     assert "line 1" in proc.stderr and "nested brackets" in proc.stderr
 
 
+def test_check_deeply_nested_algebra_file_exits_2_without_traceback(tmp_path):
+    path = tmp_path / "deep.alg.json"
+    path.write_text("[" * 200_000, encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "maltsev", "check", str(path)],
+                          capture_output=True, text=True, env=package_env())
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "nested too deeply" in proc.stderr
+
+
 def test_check_ambiguous_algebra_file_exits_2_without_traceback(tmp_path):
     path = tmp_path / "ambiguous.alg.json"
     path.write_text('{"name": "amb", "dim": 2, "basis": ["e1", "e2"], "brackets": '

@@ -19,11 +19,11 @@ from maltsev import (
     parse_identity_file,
 )
 from maltsev.cli import main
-from maltsev.dsl import MAX_NESTING, Bracket, Column, Scale, Sum, Var
+from maltsev.dsl import MAX_NESTING, Bracket, Column, IdentityAst, Scale, Sum, Var
 from maltsev.identities import BUILTIN_IDENTITIES
 
 from . import oracle
-from .support import RANDOM_VECTOR_SEED, random_algebra, random_vector
+from .support import RANDOM_VECTOR_SEED, fresh, random_algebra, random_vector
 
 
 # ------------------------------------------------------------------ parsing
@@ -87,6 +87,16 @@ def test_syntax_errors(text, fragment):
     with pytest.raises(IdentitySyntaxError) as exc:
         parse_identity(text)
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("coeff", ["7" * 5000, "2/" + "3" * 5000],
+                         ids=["numerator", "denominator"])
+def test_too_long_an_integer_is_a_syntax_error_at_its_token(coeff):
+    # int() refuses more than sys.get_int_max_str_digits() digits
+    with pytest.raises(IdentitySyntaxError) as exc:
+        parse_identity_file(f"x = x\n[x,y] = {coeff}*[y,x]\n")
+    assert (exc.value.line, exc.value.column) == (2, 9 + coeff.find("/") + 1)
+    assert "5000 digits" in str(exc.value)
 
 
 def test_syntax_error_carries_position():
@@ -344,6 +354,33 @@ def test_column_evaluation_matches_the_vector_form(text):
             operators = eval_ast(A, ast, assignment)
             v = assignment["col"]
             assert tuple(P.apply(v) for P in operators) == eval_ast(A, vector_form, assignment)
+
+
+def test_a_bracket_whose_first_argument_is_an_operator_compiles_flipped(so3):
+    # [_,x] is outside the grammar; the compiler reads it as -[x,_] from its
+    # compiled operands, in the program and in the evaluator alike
+    flip = Bracket((Column(), Var("x")))
+    ast = IdentityAst(variables=("x", "y"), multiplicities=(1, 1),
+                      lhs=Sum((flip, Scale(Fraction(1, 2), Bracket((Var("y"), flip))))),
+                      rhs=Bracket((Var("y"), Scale(3, flip))))
+    like = parse_identity("-1*[x,_] - 1/2*[y,[x,_]] = -3*[y,[x,_]]")
+    rng = random.Random(RANDOM_VECTOR_SEED)
+    for A in [random_algebra(rng, dim, dim) for dim in (1, 2, 3, 4)]:
+        for _ in range(4):
+            args = [random_vector(rng, A.dim) for _ in range(2)]
+            assert ast.plan.evaluate(A, args) == like.plan.evaluate(A, args)
+            assert ast.evaluator.evaluate(A, args) == like.evaluator.evaluate(A, args)
+    # checked serially: pool chunks re-parse the text, which is not in the grammar
+    for exhaustive in (False, True):
+        report = check_identity(fresh(so3), IdentityAst(
+            variables=("x",), multiplicities=(1,), lhs=flip, rhs=Bracket((Var("x"), Column()))),
+            exhaustive=exhaustive)
+        expected = check_identity(fresh(so3), parse_identity("-1*[x,_] = [x,_]"),
+                                  exhaustive=exhaustive)
+        assert not report.holds
+        assert report.counterexample == expected.counterexample
+        assert (report.substitutions_checked, report.violations) == (
+            expected.substitutions_checked, expected.violations)
 
 
 def test_operator_identity_from_text_reports_an_operator(nc3):

@@ -2,8 +2,10 @@
 
 The digests were computed from the commit before builtin identities became
 DSL text (``m7 --exhaustive`` from the commit before reports were built from
-the scan's stream positions alone), so any change to a verdict, a count, a counterexample or the
-formatting of a report shows up here.  Each digest covers the exit code and
+the scan's stream positions alone, the orientation digests from the commit
+before the compiler oriented brackets by their compiled operands), so any
+change to a verdict, a count, a counterexample or the formatting of a report
+shows up here.  Each digest covers the exit code and
 the stdout bytes of ``maltsev`` runs made in-process through ``cli.main``.
 """
 import contextlib
@@ -19,6 +21,25 @@ from .support import random_dim3_algebras
 
 CATALOG = ("abelian(3)", "so3", "sl2", "m7", "nc3")
 CHECK = ("--identity", "all", "--identity", "jacobi", "--json")
+
+# Binary brackets flipped and scaled around the last variable, fractional
+# coefficients, an operator line and literal-0 terms: the texts the
+# compiler orients into column programs.
+ORIENTATION = """\
+[[x,y],z] + [[y,z],x] + [[z,x],y] = 0
+2*[[x,z],y] - 3*[y,[x,z]] = 0
+1/2*[y,[x,z]] - 1/3*[[x,z],y] = 5/6*[[x,y],z] - 1/4*[x,[y,z]]
+[[x,y],3*z] + [2*z,[x,y]] = 2*[[x,y],z]
+[x,2*[[y,z],x]] = [y,[x,z]]
+-2*[[x,y],[z,w]] + 1/2*[[z,w],[x,y]] = [x,[y,[w,z]]]
+[[x,y],[x,z]] = [[[x,y],z],x] + [[[y,z],x],x] + [[[z,x],x],y]
+1/6*[x,y,[z,w]] = -1/6*[[w,z],[x,y,z]] + [z,1/6*[x,y,w]]
+1/6*[x,y,[z,_]] - 1/6*[z,[x,y,_]] = 1/6*[[x,y,z],_] + 0
+[[y,x],z] + 0 = -1*[z,[x,y]] - 0
+0 = [x,[y,[w,z]]] + 2*[[w,z],[x,y]]
+[x,0] + [x,y] = [x,y]
+_ = 0
+"""
 
 GOLDEN = {
     "list":
@@ -49,6 +70,10 @@ GOLDEN = {
         "399cb54f8b3b7dc4083e2a57587de3d23118a66c5adb6e0a1ba25f63d9e0c14d",
     "rand3 x100 --exhaustive":
         "02a17a526595784f5080a5ea65f3a47002e3b8d151e07e2af4e9c392a8f4f2da",
+    "orientation":
+        "ddc30d859aaf311c3e3e0dbe2e5a24d83c4f03f4779bb0fda3d995768c129d0f",
+    "orientation --exhaustive":
+        "552cb8259564cbd9aaf295201d4e5ea07ebefb6c43e75f7e4786ce178fcf91df",
 }
 
 
@@ -92,3 +117,14 @@ def test_random_dim3_check_bytes(rand3_files, exhaustive):
     flags = ("--exhaustive",) if exhaustive else ()
     key = "rand3 x100" + " --exhaustive" * exhaustive
     assert _digest(*(["check", p, *CHECK, *flags] for p in rand3_files)) == GOLDEN[key]
+
+
+@pytest.mark.parametrize("exhaustive", [False, True], ids=["first", "exhaustive"])
+def test_orientation_dsl_bytes(rand3_files, tmp_path, exhaustive):
+    path = tmp_path / "orientation.txt"
+    path.write_text(ORIENTATION, encoding="utf-8")
+    flags = ("--exhaustive",) if exhaustive else ()
+    key = "orientation" + " --exhaustive" * exhaustive
+    argvs = (["check", alg, "--dsl", str(path), "--json", *flags]
+             for alg in (*CATALOG, *rand3_files))
+    assert _digest(*argvs) == GOLDEN[key]
