@@ -30,6 +30,11 @@ BUILTIN_ALGEBRA_DOC = (
 
 FILE_SUFFIX = ".alg.json"
 
+# the bracket table of an algebra holds dim**2 entries, built before any
+# check starts; at this dimension a 5-variable identity already has 10**10
+# substitutions
+MAX_ABELIAN_DIM = 100
+
 _ABELIAN_RE = re.compile(r"^abelian\((-?[0-9]+)\)$")
 
 
@@ -41,9 +46,11 @@ def builtin(name: str) -> Algebra:
     """Construct a catalog algebra by name."""
     m = _ABELIAN_RE.match(name)
     if m:
-        n = int(m.group(1))
-        if n < 1:
-            raise ValueError(f"abelian dimension must be positive, got {n}")
+        digits = m.group(1)
+        n = int(digits) if len(digits.lstrip("-0")) < 4 else MAX_ABELIAN_DIM + 1
+        if not 1 <= n <= MAX_ABELIAN_DIM:
+            raise ValueError(
+                f"abelian dimension must be between 1 and {MAX_ABELIAN_DIM}, got {digits}")
         return Algebra(name, tuple(f"e{i+1}" for i in range(n)), {})
     if name == "so3":
         return Algebra("so3", ("e1", "e2", "e3"), {

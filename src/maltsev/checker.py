@@ -11,7 +11,9 @@ worker count.
 :func:`run_check` takes a parsed identity and scans with its compiled
 program, which hands back stream positions only: the first violating index
 and the violation counts.  The program visits only the canonical
-substitutions of its antisymmetric blocks (see :mod:`.dsl`); pool chunks are
+substitutions of its antisymmetric blocks (see :mod:`.dsl`), and from
+``_PARALLEL_MIN`` scan units on, of the blocks and the algebra's
+basis-permutation automorphisms too (see :func:`_orbits`).  Pool chunks are
 still ranges of the whole stream, and the chunk holding the first violation
 finds it.  Every report decodes the first index into its substitution and
 evaluates both sides there with :func:`dsl.eval_ast`, which runs the
@@ -20,8 +22,9 @@ never built for a report.
 
 A scan pools only when its program has ``_PARALLEL_MIN`` scan units or
 more.  A unit is one canonical substitution of a vector program or one
-canonical prefix of a column program; the units are counted as the stream
-length divided by the orbit, and by the dimension for a column program.
+canonical prefix of a column program; the blocks' units are counted as the
+stream length divided by the orbit, and by the dimension for a column
+program, and those of an orbit table one by one.
 The decision depends on the program alone, so labels that share a scan,
 such as an operator identity and its vector twin, are judged alike.
 
@@ -167,9 +170,10 @@ def _scan_chunk(start: int, stop: int, exhaustive: bool, text: str):
     A, plans = _worker
     if text not in plans:
         plan = dsl.parse_identity(text).plan
-        plans[text] = plan, [_options(A.dim, m) for m in plan.multiplicities]
-    plan, options = plans[text]
-    return plan.scan(A, options, start, stop, exhaustive)
+        options = [_options(A.dim, m) for m in plan.multiplicities]
+        plans[text] = plan, options, _orbits(A, plan, options)
+    plan, options, orbits = plans[text]
+    return plan.scan(A, options, start, stop, exhaustive, orbits)
 
 
 class WorkerPool:
@@ -219,6 +223,25 @@ def _chunk_bounds(total: int, workers: int, unit: int = 1) -> list[tuple[int, in
     return [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
 
 
+def _orbits(A: Algebra, plan: dsl.Program, options: list) -> tuple | None:
+    """The orbit table (:meth:`dsl.Program.orbits`) of ``plan``'s stream under
+    its blocks and ``A``'s basis-permutation automorphisms, kept in
+    ``A._orbits``; None where the last slot is in a block, or where the group
+    is trivial or has more elements than the blocks leave scan units (the
+    table would then hold more images than the scan has units).  The search
+    stops after as many trials as those units have stream positions."""
+    if not plan.nvars or plan.prev[-1] >= 0:
+        return None
+    units = math.prod(map(len, options)) // (plan.orbit * (A.dim if plan.column else 1))
+    group = A.automorphisms(units * A.dim)
+    if group is None or not 1 < len(group) <= units:
+        return None
+    key = plan.multiplicities, plan.blocks
+    if key not in A._orbits:
+        A._orbits[key] = plan.orbits(options, group)
+    return A._orbits[key]
+
+
 def _scan(A: Algebra, ast: dsl.IdentityAst, exhaustive: bool,
           pool: WorkerPool | None) -> tuple:
     """:meth:`dsl.Program.scan` of ``ast`` over its whole stream, serial or
@@ -227,10 +250,17 @@ def _scan(A: Algebra, ast: dsl.IdentityAst, exhaustive: bool,
     options = [_options(A.dim, m) for m in plan.multiplicities]
     total = math.prod(map(len, options))
     width = A.dim if plan.column else 1  # stream positions per prefix
-    # the pool serves programs of _PARALLEL_MIN scan units or more: the
-    # canonical substitutions, or canonical prefixes of dim columns each
-    if pool is None or pool.workers == 1 or total // (plan.orbit * width) < _PARALLEL_MIN:
-        return (*plan.scan(A, options, 0, total, exhaustive), total)
+    # scan units: canonical substitutions, or canonical prefixes of dim
+    # columns each; the group is sought, before any pool starts (forked
+    # workers inherit it), from _PARALLEL_MIN of the blocks' units on, and
+    # the pool serves programs of _PARALLEL_MIN units or more
+    units = total // (plan.orbit * width)
+    orbits = _orbits(A, plan, options) if units >= _PARALLEL_MIN else None
+    if orbits is not None:
+        units = sum(1 if plan.column else len(options[-1]) if cols is None else len(cols)
+                    for _, _, cols in orbits[1])
+    if pool is None or pool.workers == 1 or units < _PARALLEL_MIN:
+        return (*plan.scan(A, options, 0, total, exhaustive, orbits), total)
     bounds = _chunk_bounds(total, pool.workers, width)
     executor = pool.executor(len(bounds))
     text = dsl.format_identity(ast)

@@ -66,27 +66,23 @@ def cmd_list(json_output: bool) -> int:
     return 0
 
 
-def _print_value(A: Algebra, value, indent: str) -> None:
+def _value_lines(A: Algebra, value, indent: str) -> list[str]:
     if isinstance(value, Vector):
-        print(f"{indent}{format_vector(A, value)}")
-    else:
-        for row in value.rows:
-            print(f"{indent}[{', '.join(format_rational(c) for c in row)}]")
+        return [f"{indent}{format_vector(A, value)}"]
+    return [f"{indent}[{', '.join(format_rational(c) for c in row)}]" for row in value.rows]
 
 
-def _print_report(A: Algebra, report: checker.CheckReport) -> None:
+def _report_lines(A: Algebra, report: checker.CheckReport) -> list[str]:
     verdict = "holds" if report.holds else "FAILS"
     extra = f", {report.violations} violations" if report.violations is not None else ""
-    print(f"{report.identity} on {report.algebra}: {verdict} "
-          f"({report.substitutions_checked} substitutions{extra})")
+    lines = [f"{report.identity} on {report.algebra}: {verdict} "
+             f"({report.substitutions_checked} substitutions{extra})"]
     ce = report.counterexample
     if ce is not None:
         sub = ", ".join(f"{name} = {format_vector(A, v)}" for name, v in ce.substitution)
-        print(f"  counterexample: {sub}")
-        print("  left:")
-        _print_value(A, ce.left, "    ")
-        print("  right:")
-        _print_value(A, ce.right, "    ")
+        lines += [f"  counterexample: {sub}", "  left:", *_value_lines(A, ce.left, "    "),
+                  "  right:", *_value_lines(A, ce.right, "    ")]
+    return lines
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -106,11 +102,11 @@ def cmd_check(args: argparse.Namespace) -> int:
             for _lineno, ast in parsed:
                 reports.append(dsl.check_identity(
                     A, ast, exhaustive=args.exhaustive, pool=pool))
+    # the whole output is rendered before any of it is written
     if args.json_output:
         print(json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True))
     else:
-        for r in reports:
-            _print_report(A, r)
+        print("\n".join(line for r in reports for line in _report_lines(A, r)))
     return 0 if all(r.holds for r in reports) else 1
 
 
@@ -138,9 +134,9 @@ def cmd_table(algebra: str, ternary: bool, json_output: bool) -> int:
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
-    for idx, value in entries:
-        args = ", ".join(A.basis[i] for i in idx)
-        print(f"[{args}] = {format_vector(A, value)}")
+    if entries:  # abelian(1) has no pair
+        print("\n".join(f"[{', '.join(A.basis[i] for i in idx)}] = {format_vector(A, value)}"
+                        for idx, value in entries))
     return 0
 
 

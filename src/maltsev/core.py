@@ -73,8 +73,21 @@ def parse_rational(text: str) -> Scalar:
 
 def format_rational(x: Scalar) -> str:
     if isinstance(x, Fraction) and x.denominator != 1:
-        return f"{x.numerator}/{x.denominator}"
-    return str(int(x))
+        return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
+    try:
+        return str(int(x))
+    except ValueError:
+        return _decimal(int(x))
+
+
+def _decimal(n: int) -> str:
+    """``str(n)``, in halves where ``n`` has more digits than ``str`` converts."""
+    try:
+        return str(n)
+    except ValueError:
+        width = n.bit_length() * 3 // 20  # about half the digits
+        high, low = divmod(abs(n), 10 ** width)
+        return "-" * (n < 0) + _decimal(high) + _decimal(low).zfill(width)
 
 
 def _canonical(x: Fraction) -> Scalar:
@@ -330,12 +343,15 @@ class Algebra:
     are derived, never stored, so no instance can violate antisymmetry.
 
     ``_ternary`` caches the ternary table (see the module docstring); it is
-    filled lazily and ignored by equality, hashing and pickling.  So is
-    ``_scans``, where the checker keeps the result of each scan it ran on
-    this algebra, by identity key and mode.
+    filled lazily and ignored by equality, hashing and pickling.  So are
+    ``_automorphisms`` (see :meth:`automorphisms`), ``_scans``, where the
+    checker keeps the result of each scan it ran on this algebra, by
+    identity key and mode, and ``_orbits``, where it keeps the orbit tables
+    of those scans.
     """
 
-    __slots__ = ("name", "basis", "_pairs", "_rows", "_ternary", "_scans", "_hash")
+    __slots__ = ("name", "basis", "_pairs", "_rows", "_ternary", "_automorphisms", "_scans",
+                 "_orbits", "_hash")
 
     def __init__(self, name: str, basis: Iterable[str],
                  brackets: Mapping[tuple[int, int], Vector | Iterable[Scalar]]):
@@ -362,7 +378,9 @@ class Algebra:
         self._pairs = pairs
         self._rows = _sparse_rows(dim, pairs)
         self._ternary = None
+        self._automorphisms = (0, None)  # (trials, group or None): see automorphisms
         self._scans = {}
+        self._orbits = {}
         self._hash = hash((name, basis, tuple(sorted(pairs.items()))))
 
     @property
@@ -399,6 +417,17 @@ class Algebra:
             cols = table[i * dim + j] = _ternary_pair(self._rows, i, j)
         return cols
 
+    def automorphisms(self, limit: int) -> tuple[tuple[int, ...], ...] | None:
+        """The permutations ``p`` of the basis indices with ``[e_p(i), e_p(j)] =
+        p([e_i, e_j])`` for all i, j, as tuples ``(p(0), ..., p(d-1))`` in
+        lexicographic order, or None when the search needs more than
+        ``limit`` trials.  Kept with the trials it took (or the limit it ran
+        out at), so the result depends on ``limit`` and the algebra alone."""
+        cost, group = self._automorphisms
+        if group is None and limit > cost:
+            self._automorphisms = cost, group = _basis_automorphisms(self._rows, limit)
+        return group if group is not None and cost <= limit else None
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Algebra):
             return NotImplemented
@@ -424,6 +453,65 @@ def _sparse_rows(dim, pairs):
         rows[i][j] = nz
         rows[j][i] = tuple((k, -c) for k, c in nz)
     return tuple(tuple(r) for r in rows)
+
+
+def _basis_automorphisms(rows, limit):
+    # backtracking over the images of the indices.  Where it can, the next
+    # index k has c_su^k != 0 for two placed s, u, so p(k) is among the
+    # indices where [e_p(s), e_p(u)] has that coefficient.  An image is kept
+    # where every c_su^k with s, u, k placed maps to c_p(s)p(u)^p(k), so a
+    # complete p is an automorphism.  Returns (trials, group), or (limit,
+    # None) once more than limit trials are needed.
+    dim = len(rows)
+    const = [[dict(r) for r in row] for row in rows]
+    order, forced, near = [], [], {}  # near: index -> two placed indices forcing it
+    while len(order) < dim:
+        k = min(near) if near else min(set(range(dim)).difference(order))
+        order.append(k)
+        forced.append(near.pop(k, None))
+        for s in order:
+            near.update((j, (s, k)) for j in const[s][k] if j not in order and j not in near)
+    perm, used, found, trials = [-1] * dim, [False] * dim, [], 0
+
+    def candidates(t):
+        if forced[t] is None:
+            return iter([w for w in range(dim) if not used[w]])
+        s, u = forced[t]
+        c = const[s][u][order[t]]
+        return iter([w for w, d in const[perm[s]][perm[u]].items() if d == c and not used[w]])
+
+    def fits(x, v, done):
+        for i, s in enumerate(done):
+            a, b = const[s][x], const[perm[s]][v]
+            if len(a) != len(b) or a.get(x, 0) != b.get(v, 0) or any(
+                    a.get(k, 0) != b.get(perm[k], 0) for k in done) or any(
+                    const[u][s].get(x, 0) != const[perm[u]][perm[s]].get(v, 0)
+                    for u in done[:i]):
+                return False
+        return True
+
+    stack = [candidates(0)]
+    while stack:
+        t, x = len(stack) - 1, order[len(stack) - 1]
+        if perm[x] >= 0:
+            used[perm[x]], perm[x] = False, -1
+        for v in stack[-1]:
+            trials += 1
+            if fits(x, v, order[:t]):
+                break
+        else:
+            v = None
+        if trials > limit:
+            return limit, None
+        if v is None:
+            stack.pop()
+        else:
+            perm[x], used[v] = v, True
+            if t < dim - 1:
+                stack.append(candidates(t + 1))
+            else:
+                found.append(tuple(perm))
+    return trials, tuple(sorted(found))
 
 
 def _ternary_pair(rows, i, j):

@@ -104,9 +104,15 @@ it finds as its orbit of ``Program.orbit`` (the product of the blocks'
 factorials).  A violation's first orbit member in stream order is
 canonical, so the first violation and every report stay those of the
 unreduced scan.
+
+A permutation of the basis that is an automorphism of the algebra maps
+options to options and violations to violations.  With the orbit table of a
+group of them (:meth:`Program.orbits`), a scan visits only the prefixes, and
+of each only the last-slot options, that come first in their orbit.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 import re
@@ -193,6 +199,12 @@ class IdentityAst:
     def evaluator(self) -> Program:
         """Both sides compiled for one substitution at a time, unstaged."""
         return _compile(self, staged=False)
+
+    @cached_property
+    def expansion(self) -> tuple[dict, dict[int, Scalar]] | None:
+        """LHS - RHS in the free anticommutative algebra: the monomial numbering
+        of :func:`_expanded` and the nonzero coefficients, or None if too large."""
+        return _expansion(self)
 
     @cached_property
     def key(self) -> tuple | IdentityAst:
@@ -599,19 +611,20 @@ class Program:
         return left, right
 
     def scan(self, A: Algebra, options: Sequence[Sequence[Vector]], start: int, stop: int,
-             exhaustive: bool) -> tuple[int | None, int, int]:
+             exhaustive: bool, orbits: tuple | None = None) -> tuple[int | None, int, int]:
         """Scan the canonical substitutions in [start, stop) of the product of ``options``.
 
         ``options`` holds one option list per slot, the last slot fastest,
         and ``stop`` is at most the product's length.  Returns the first
         canonical violating stream index (or None), the number of canonical
         violations and of *prefixes* (values of every slot but the last)
-        holding one, each times ``orbit``: stream positions only, which the
-        caller decodes into a substitution.  Without ``exhaustive`` the scan
-        ends at the first violation.  Scans of consecutive ranges find the
-        stream's first violation, and their counts add up to the stream's
-        (see the module docstring).  A column program compares column i of
-        its operator sides where a vector program compares the sides at i.
+        holding one, each counted with its orbit: stream positions only,
+        which the caller decodes into a substitution.  Without ``exhaustive``
+        the scan ends at the first violation.  Scans of consecutive ranges
+        find the stream's first violation, and their counts add up to the
+        stream's (see the module docstring).  A column program compares
+        column i of its operator sides where a vector program compares the
+        sides at i.  The orbits are the blocks', or those of :meth:`orbits`.
         """
         if start >= stop:
             return None, 0, 0
@@ -619,44 +632,30 @@ class Program:
         if not n:
             left, right = self.evaluate(A, ())
             return (None, 0, 0) if left == right else (start, 1, 1)
-        prev = self.prev
-        top = [len(o) - 1 - a for o, a in zip(options, self.after)]  # highest canonical index
-        if min(top) < 0:  # a block has more slots than options: nothing is canonical
-            return None, 0, 0
-        strides = [1] * n  # stream index step of each slot
-        for k in reversed(range(n - 1)):
-            strides[k] = strides[k + 1] * len(options[k + 1])
-        idx = [0] * n  # the current option index of each slot
-        rem = start
-        for k in reversed(range(n)):
-            rem, idx[k] = divmod(rem, len(options[k]))
-        # move to the first canonical substitution at or after start
-        for k in range(n):
-            if idx[k] > top[k]:  # no canonical one agrees with idx on slots 0..k
-                if _advance(idx, k - 1, prev, top) < 0:
-                    return None, 0, 0
-                break
-            if prev[k] >= 0 and idx[k] <= idx[prev[k]]:
-                idx[k] = idx[prev[k]]  # one below the lowest canonical index
-                _advance(idx, k, prev, top)
-                break
         last = n - 1
-        base = sum(map(operator.mul, idx[:last], strides))  # stream index of the prefix
-        if base + idx[last] >= stop:
-            return None, 0, 0
-        r = [o[i] for o, i in zip(options, idx)] + [None] * (self.size - n)
+        idx = [0] * n  # the current option index of each slot
         fastest = options[last]
-        first, nviol, nprefixes, level = None, 0, 0, 0
+        prefixes = (self._prefixes(options, idx, start, stop) if orbits is None
+                    else _orbit_prefixes(orbits, idx, start, stop, len(fastest)))
+        r = [None] * self.size
+        first, nviol, nprefixes = None, 0, 0
         memo_from = self.memo_from
-        while True:
-            for out, step in runs[level]:
+        for k, base, lo, weight, cols in prefixes:
+            for j in range(max(k, 0), last):
+                r[j] = options[j][idx[j]]
+            if 0 <= k <= memo_from:  # a memo step's value may now repeat
+                memo = {out: (out, _memoized(step, slots, idx, {}))
+                        for out, step, slots in self.memos}
+                runs, memo_from = [[memo.get(s[0], s) for s in run] for run in runs], -1
+            for out, step in runs[k + 1]:
                 r[out] = step(A, r)
             end = min(len(fastest), stop - base)
+            columns = range(lo, end) if cols is None else [i for i in cols if lo <= i < end]
             if self.column:
-                bad = [i for i in range(idx[last], end) if r[lhs].column(i) != r[rhs].column(i)]
+                bad = [i for i in columns if r[lhs].column(i) != r[rhs].column(i)]
             else:
                 bad = []
-                for i in range(idx[last], end):
+                for i in columns:
                     r[last] = fastest[i]
                     for out, step in inner:
                         r[out] = step(A, r)
@@ -669,19 +668,97 @@ class Program:
                     first = base + bad[0]
                 if not exhaustive:
                     return first, 1, 1
-                nviol += len(bad)
-                nprefixes += 1
+                nviol += weight * (len(bad) if cols is None else sum(map(cols.get, bad)))
+                nprefixes += weight
+        return first, nviol, nprefixes
+
+    def _prefixes(self, options: Sequence[Sequence[Vector]], idx: list[int], start: int,
+                  stop: int) -> Iterator[tuple]:
+        """The prefixes of canonical substitutions in [start, stop), in stream
+        order, set in ``idx`` in turn: (the slowest slot changed, or -1; the
+        stream index; the first last-slot index; the orbit; None: all columns)."""
+        n, prev = self.nvars, self.prev
+        top = [len(o) - 1 - a for o, a in zip(options, self.after)]  # highest canonical index
+        if min(top) < 0:  # a block has more slots than options: nothing is canonical
+            return
+        strides = [1] * n  # stream index step of each slot
+        for k in reversed(range(n - 1)):
+            strides[k] = strides[k + 1] * len(options[k + 1])
+        rem = start
+        for k in reversed(range(n)):
+            rem, idx[k] = divmod(rem, len(options[k]))
+        # move to the first canonical substitution at or after start
+        for k in range(n):
+            if idx[k] > top[k]:  # no canonical one agrees with idx on slots 0..k
+                if _advance(idx, k - 1, prev, top) < 0:
+                    return
+                break
+            if prev[k] >= 0 and idx[k] <= idx[prev[k]]:
+                idx[k] = idx[prev[k]]  # one below the lowest canonical index
+                _advance(idx, k, prev, top)
+                break
+        last, k = n - 1, -1
+        while True:
+            base = sum(map(operator.mul, idx[:last], strides))  # stream index of the prefix
+            if base + idx[last] >= stop:
+                return
+            yield k, base, idx[last], self.orbit, None
             k = _advance(idx, last - 1, prev, top)
-            base = sum(map(operator.mul, idx[:last], strides))
-            if k < 0 or base + idx[last] >= stop:
-                return first, nviol * self.orbit, nprefixes * self.orbit
-            for j in range(k, last):
-                r[j] = options[j][idx[j]]
-            if k <= memo_from:  # a memo step's value may now repeat
-                memo = {out: (out, _memoized(step, slots, idx, {}))
-                        for out, step, slots in self.memos}
-                runs, memo_from = [[memo.get(s[0], s) for s in run] for run in runs], -1
-            level = k + 1
+            if k < 0:
+                return
+
+    def orbits(self, options: Sequence[Sequence[Vector]],
+               group: Sequence[tuple[int, ...]]) -> tuple[list[int], list[tuple]]:
+        """The orbit table of the product of ``options`` under the blocks and
+        ``group``, automorphisms that permute the basis; the last slot is in
+        no block.  For each canonical prefix, in stream order: its stream
+        index, and its option indices, its orbit and None or, where its
+        stabilizer moves columns, the canonical columns with their orbits."""
+        moves = []  # per slot and element, the image of each option index
+        for o in options:
+            sets = [tuple(i for i, c in enumerate(v.coords) if c) for v in o]
+            where = {s: i for i, s in enumerate(sets)}
+            moves.append([[where[tuple(sorted(p[i] for i in s))] for s in sets] for p in group])
+
+        def image(g: int, p: tuple[int, ...]) -> tuple[int, ...]:
+            q = [move[g][i] for move, i in zip(moves, p)]
+            for block in self.blocks:
+                for k, i in zip(block, sorted(q[k] for k in block)):
+                    q[k] = i
+            return tuple(q)
+
+        last = self.nvars - 1
+        bases, entries, seen, idx = [], [], set(), [0] * self.nvars
+        for _, base, _, _, _ in self._prefixes(options, idx, 0, math.prod(map(len, options))):
+            p = tuple(idx[:last])
+            if p in seen:
+                continue
+            images = [image(g, p) for g in range(len(group))]
+            seen.update(images)
+            stabilizer = [moves[last][g] for g, q in enumerate(images) if q == p]
+            cols = None
+            if len(stabilizer) > 1:
+                orbits = [{move[i] for move in stabilizer} for i in range(len(options[last]))]
+                cols = {i: len(o) for i, o in enumerate(orbits) if i == min(o)}
+            bases.append(base)
+            entries.append((p, self.orbit * len(set(images)), cols))
+        return bases, entries
+
+
+def _orbit_prefixes(orbits: tuple, idx: list[int], start: int, stop: int,
+                    width: int) -> Iterator[tuple]:
+    """:meth:`Program._prefixes` of an orbit table's canonical prefixes."""
+    bases, entries = orbits
+    k = None
+    for e in range(bisect.bisect_left(bases, start - start % width), len(bases)):
+        base = bases[e]
+        if base >= stop:
+            return
+        p, weight, cols = entries[e]
+        # the first slot that differs from the last prefix
+        k = -1 if k is None else next(j for j, i in enumerate(p) if idx[j] != i)
+        idx[:len(p)] = p
+        yield k, base, max(start - base, 0), weight, cols
 
 
 def _memoized(step: Callable, slots: tuple[int, ...], idx: list[int], table: dict) -> Callable:
@@ -920,8 +997,7 @@ def _ordered(sign: int, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tu
     return (sign, (-1,) + a + b) if a < b else (-sign, (-1,) + b + a)
 
 
-def _key(ast: IdentityAst) -> tuple | IdentityAst:
-    leaf, multiplicities = ast.slots
+def _expansion(ast: IdentityAst) -> tuple[dict, dict[int, Scalar]] | None:
     index = {name: k for k, name in enumerate(ast.variables)}
     numbers: dict = {k: k for k in range(len(index) + 1)}  # the leaves, then pairs
     poly: dict[int, Scalar] = {}
@@ -932,18 +1008,25 @@ def _key(ast: IdentityAst) -> tuple | IdentityAst:
                 for n, d in _expanded(core, index, numbers):
                     poly[n] = poly.get(n, 0) + c * d
     except _TooLarge:
+        return None
+    return numbers, {n: c for n, c in poly.items() if c}
+
+
+def _key(ast: IdentityAst) -> tuple | IdentityAst:
+    leaf, multiplicities = ast.slots
+    if ast.expansion is None:
         return ast
+    numbers, poly = ast.expansion
     terms = []
-    if any(poly.values()):
+    if poly:
         # number -> (sign, canonical monomial); a pair's numbers come before it
-        canonical = [(1, (k,)) for k in range(len(index) + 1)]
+        canonical = [(1, (k,)) for k in range(len(ast.variables) + 1)]
         for a, b in list(numbers)[len(canonical):]:
             (s, a), (t, b) = canonical[a], canonical[b]
             canonical.append(_ordered(s * t, a, b))
         for n, c in poly.items():
-            if c:
-                s, m = canonical[n]
-                terms.append((m, s * c))
+            s, m = canonical[n]
+            terms.append((m, s * c))
         terms.sort()
         lead = terms[0][1]
         if lead != 1:
@@ -960,32 +1043,37 @@ def _blocks(ast: IdentityAst) -> tuple[tuple[int, ...], ...]:
     pair is antisymmetric.  Swaps compose (the swap of ``a`` and ``c`` is that
     of ``a`` and ``b`` conjugated by that of ``b`` and ``c``), so each slot
     joins the first block whose first slot it is antisymmetric to.  A key
-    that is its identity has no blocks.
+    that is its identity has no blocks.  A swap renames each numbered
+    monomial of ``IdentityAst.expansion`` once, from its arguments' images.
     """
-    if isinstance(ast.key, IdentityAst):
+    if ast.expansion is None:
         return ()
-    terms, multiplicities, column = ast.key
-    poly = dict(terms)
+    numbers, poly = ast.expansion
+    _, multiplicities, column = ast.key
+    leaves = len(ast.variables) + 1
+    pairs = list(numbers)[leaves:]
+    lone = [(n, c) for n, c in poly.items() if n < leaves]  # terms that are a variable
 
     def antisymmetric(i: int, j: int) -> bool:
-        # a swap maps each canonical monomial to ± one, so it negates poly
-        # iff it negates each coefficient
-        swapped = {i: (j,), j: (i,)}
-        passed = set()  # a swap is an involution: the image of a passed monomial passes
-        for m, c in terms:
-            if m in passed:
-                continue
-            stack = []  # the image of m, read back to front
-            for v in reversed(m):
-                if v >= 0:
-                    stack.append((1, swapped.get(v) or (v,)))
-                else:
-                    (s, a), (t, b) = stack.pop(), stack.pop()
-                    stack.append(_ordered(s * t, a, b))
-            (s, image), = stack
-            if poly.get(image) != -s * c:
+        # a swap maps each monomial to ± one, so it negates poly iff it
+        # negates each coefficient.  images[n]: ±(1 + the image's number),
+        # or 0 where the image has no number, so no coefficient
+        images = list(range(1, leaves + 1))
+        images[i], images[j] = j + 1, i + 1
+        if any(poly.get(images[n] - 1) != -c for n, c in lone):
+            return False
+        for n, (a, b) in enumerate(pairs, leaves):
+            x, y, s = images[a], images[b], 1
+            if x < 0:
+                x, s = -x, -s
+            if y < 0:
+                y, s = -y, -s
+            m = numbers.get((x - 1, y - 1) if x < y else (y - 1, x - 1))  # [a,b] = -[b,a]
+            image = 0 if m is None or not x or not y else (s if x < y else -s) * (m + 1)
+            images.append(image)
+            c = poly.get(n)
+            if c and (not image or poly.get(abs(image) - 1) != (-c if image > 0 else c)):
                 return False
-            passed.add(image)
         return True
 
     blocks: list[list[int]] = []

@@ -11,10 +11,12 @@ stated ones, applied to the reported counterexample only.
 :func:`eval_side` evaluates any parsed identity by recursion over its AST,
 and :func:`check_ast` scans with it one substitution at a time: no
 registers, no stages and no partial maps.  :func:`oriented` is the reading
-of a vector identity that the column rule tests.
+of a vector identity that the column rule tests.  :func:`automorphisms`,
+:func:`orbit` and :func:`canonical_prefixes` find by brute force what the
+automorphism search and the orbit tables compute.
 """
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 from maltsev import (
     CheckReport,
@@ -301,3 +303,51 @@ def column_twin(ast, name="col"):
 
     return IdentityAst((*ast.variables, name), (*ast.multiplicities, 1),
                        swap(ast.lhs), swap(ast.rhs))
+
+
+def automorphisms(A):
+    """The permutations p of the basis indices with ``[e_p(i), e_p(j)] =
+    p([e_i, e_j])`` for all i, j, found by trying every permutation."""
+    d = A.dim
+    table = [[A.structure_constant(i, j).coords for j in range(d)] for i in range(d)]
+    return tuple(p for p in permutations(range(d))
+                 if all(table[p[i]][p[j]][p[k]] == table[i][j][k]
+                        for i in range(d) for j in range(d) for k in range(d)))
+
+
+def orbit(idx, options, group, blocks):
+    """The orbit of the option indices ``idx`` (one per slot of ``options``)
+    under the permutations of each block's slots and the basis permutations
+    of ``group``, found by applying every element."""
+    where = [{v: i for i, v in enumerate(o)} for o in options]
+    out = set()
+    for p in group:
+        moved = []
+        for k, i in enumerate(idx):
+            coords = [0] * len(p)
+            for a, c in enumerate(options[k][i].coords):
+                coords[p[a]] = c
+            moved.append(where[k][Vector(coords)])
+        for shuffle in product(*[[dict(zip(block, order)) for order in permutations(block)]
+                                 for block in blocks]):
+            image = list(moved)
+            for mapping in shuffle:
+                for slot, source in mapping.items():
+                    image[slot] = moved[source]
+            out.add(tuple(image))
+    return out
+
+
+def canonical_prefixes(A, plan, grouped=True):
+    """The prefixes (option indices of every slot of ``plan`` but the last)
+    that give the slots of each block distinct values and come first in
+    stream order within their orbit under the block permutations and, if
+    ``grouped``, the automorphisms of :func:`automorphisms`."""
+    options = [substitution_options(A.dim, m) for m in plan.multiplicities][:-1]
+    group = automorphisms(A) if grouped else (tuple(range(A.dim)),)
+    out, seen = [], set()
+    for idx in product(*(range(len(o)) for o in options)):
+        if idx not in seen and all(len({idx[k] for k in b}) == len(b) for b in plan.blocks):
+            out.append(idx)
+            seen |= orbit(idx, options, group, plan.blocks)
+    return out

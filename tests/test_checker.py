@@ -218,14 +218,20 @@ def test_pool_size_is_capped(monkeypatch, workers, cpus, expected):
     assert report == check_builtin(builtin("abelian(4)"), "glts-f")
 
 
-@pytest.mark.parametrize("ident_id,units", [
-    ("glts-d", 57),           # column program: 2401 columns // (orbit 6 * dim 7)
-    ("sagle-yamaguti", 171),  # column program: 2401 columns // (orbit 2 * dim 7)
-    ("reductivity", 171),     # its operator twin, the same program
-])
-def test_a_program_pools_from_parallel_min_scan_units(monkeypatch, ident_id, units):
+@pytest.mark.parametrize("ident_id,blocks,units", [
+    # column programs whose blocks leave 57 and 171 prefixes (2401 columns
+    # // (orbit 6 or 2 * dim 7)), which m7's 21 automorphisms cut to the
+    # orbits of the prefixes: at least _PARALLEL_MIN of the blocks' units,
+    # so the group is sought, and the orbits count
+    ("glts-d", 57, 3),
+    ("sagle-yamaguti", 171, 7),
+    ("reductivity", 171, 7),     # the operator twin of sagle-yamaguti, the same program
+], ids=["glts-d-57", "sagle-yamaguti-171", "reductivity-171"])
+def test_a_program_pools_from_parallel_min_scan_units(monkeypatch, ident_id, blocks, units):
     monkeypatch.setattr(checker, "ProcessPoolExecutor", _InlinePool)
-    m7 = builtin("m7")
+    m7, plan = builtin("m7"), BUILTIN_IDENTITIES[ident_id].ast.plan
+    assert blocks == 7 ** plan.nvars // (plan.orbit * 7)
+    assert units == len(oracle.canonical_prefixes(m7, plan))
     want = check_builtin(m7, ident_id)
     for threshold, pooled in ((units, True), (units + 1, False)):
         monkeypatch.setattr(checker, "_PARALLEL_MIN", threshold)
@@ -314,10 +320,12 @@ def test_a_pool_serves_one_algebra(so3, sl2):
 # -------------------------------------------------------------- aggregates
 
 def test_check_glts_and_check_equivalence_share_one_pool(monkeypatch):
-    # abelian(4): sagle-yamaguti (32 scan units) and glts-f (64) pool; m7:
-    # both equivalence checks pool
+    # abelian(4): sagle-yamaguti (2 scan units, the orbits of its 32
+    # prefixes under the 24 automorphisms), glts-d (10: 24 automorphisms are
+    # more than its units) and glts-f (3) pool; m7: both equivalence checks
+    # pool (maltsev 10 units, sagle-yamaguti 7)
     monkeypatch.setattr(checker, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(checker, "_PARALLEL_MIN", 32)
+    monkeypatch.setattr(checker, "_PARALLEL_MIN", 2)
     monkeypatch.setattr(checker.os, "cpu_count", lambda: 2)
     for run, name in ((check_glts, "abelian(4)"), (check_equivalence, "m7")):
         monkeypatch.setattr(_InlinePool, "sizes", [])

@@ -158,6 +158,26 @@ def test_check_deeply_nested_algebra_file_exits_2_without_traceback(tmp_path):
     assert "nested too deeply" in proc.stderr
 
 
+@pytest.mark.parametrize("json_output", [True, False], ids=["json", "text"])
+def test_a_report_coordinate_past_the_int_str_limit_prints_whole(tmp_path, capsys,
+                                                                 json_output):
+    # N has as many digits as str() converts at once, and the sides 2N*e3
+    # one more: the check fails (exit 1) with its whole report
+    n = "9" * sys.get_int_max_str_digits()
+    ident_file = tmp_path / "big.txt"
+    ident_file.write_text(f"{n}*[x,y] + {n}*[x,y] = 0\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", "so3", "--dsl", str(ident_file),
+                         *["--json"] * json_output)
+    assert code == 1 and err == ""
+    left = "1" + "9" * (len(n) - 1) + "8"  # 2N
+    if json_output:
+        (report,) = json.loads(out)
+        assert report["counterexample"]["left"]["coords"] == ["0", "0", left]
+        assert report["counterexample"]["right"]["coords"] == ["0", "0", "0"]
+    else:
+        assert out.endswith(f"  left:\n    {left}*e3\n  right:\n    0\n")
+
+
 def test_check_ambiguous_algebra_file_exits_2_without_traceback(tmp_path):
     path = tmp_path / "ambiguous.alg.json"
     path.write_text('{"name": "amb", "dim": 2, "basis": ["e1", "e2"], "brackets": '

@@ -1,3 +1,4 @@
+import decimal
 import subprocess
 import sys
 from fractions import Fraction
@@ -54,6 +55,18 @@ def test_format_rational():
     assert format_rational(Fraction(2, 1)) == "2"
     assert format_rational(Fraction(-1, 3)) == "-1/3"
     assert format_rational(0) == "0"
+
+
+def test_format_rational_past_the_int_str_limit():
+    # more digits than str() converts at once; decimal converts them alone,
+    # and a piece of zeros keeps its width
+    limit = sys.get_int_max_str_digits()
+    context = decimal.Context(prec=3 * limit + 10)
+    for n in (10 ** limit, -(10 ** (2 * limit)) - 7, 12345 * 10 ** (2 * limit) + 1):
+        assert format_rational(n) == format(context.create_decimal(n), "f")
+    big = 10 ** limit + 1
+    assert format_rational(Fraction(-big, 3)) == "-1" + "0" * (limit - 1) + "1/3"
+    assert format_rational(Fraction(3, big)) == "3/1" + "0" * (limit - 1) + "1"
 
 
 # ---------------------------------------------------------------- vectors

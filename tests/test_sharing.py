@@ -166,6 +166,8 @@ def test_the_pool_splits_column_programs_at_prefix_boundaries(monkeypatch):
 
     monkeypatch.setattr(checker, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
+    # m7's automorphisms leave 21 canonical prefixes: the program pools from 21 units
+    monkeypatch.setattr(checker, "_PARALLEL_MIN", 21)
     report = check_builtin(builtin("m7"), "hidden-assoc-operator", exhaustive=True, workers=3)
     assert report.holds and report.substitutions_checked == 2401
     assert len(starts) > 1 and all(s % 7 == 0 for s in starts)
@@ -190,23 +192,33 @@ def test_pooled_twin_counts_where_the_dimension_does_not_divide_the_chunk(monkey
 
 
 # operator label and its vector twin -> the scan units of their one program
-# on m7, and whether that program pools
+# on m7: the blocks' units (stream // (orbit * dim)), and the orbits of the
+# prefixes under the blocks and m7's 21 automorphisms, which count from
+# _PARALLEL_MIN blocks' units on (None: the key vanishes, and nothing scans)
 M7_TWIN_UNITS = {
-    ("yamagutian-antisymmetry", "ternary-antisymmetry"): (24, False),
-    ("yamagutian-constraint", "glts-d"): (57, False),
-    ("reductivity", "sagle-yamaguti"): (171, True),
+    ("yamagutian-antisymmetry", "ternary-antisymmetry"): (24, None),
+    ("yamagutian-constraint", "glts-d"): (57, 3),
+    ("reductivity", "sagle-yamaguti"): (171, 7),
 }
 
 
 def test_the_pool_threshold_counts_the_program_s_scan_units(monkeypatch):
     # each label alone on a fresh m7: a pair's labels scan one program, so
-    # they pool alike, whatever their levels
+    # they pool alike, whatever their levels; at the default threshold none
+    # pools, and at its own units each pools
     monkeypatch.setattr(checker, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(checker.os, "cpu_count", lambda: 2)
-    m7 = builtin("m7")
-    for pair, (units, pools) in M7_TWIN_UNITS.items():
-        assert pools == (units >= checker._PARALLEL_MIN)
-        for ident_id in pair:
-            monkeypatch.setattr(_InlinePool, "sizes", [])
-            assert check_builtin(fresh(m7), ident_id, workers=2).holds
-            assert _InlinePool.sizes == ([2] if pools else []), ident_id
+    m7, default = builtin("m7"), checker._PARALLEL_MIN
+    for pair, (blocks, orbits) in M7_TWIN_UNITS.items():
+        ast = BUILTIN_IDENTITIES[pair[0]].ast
+        assert blocks == 7 ** ast.plan.nvars // (ast.plan.orbit * 7)
+        assert ast.vanishes == (orbits is None)
+        if orbits is not None:
+            assert orbits == len(oracle.canonical_prefixes(m7, ast.plan))
+        for threshold in (default, orbits or 1, (orbits or 1) + 1):
+            monkeypatch.setattr(checker, "_PARALLEL_MIN", threshold)
+            pools = threshold == orbits
+            for ident_id in pair:
+                monkeypatch.setattr(_InlinePool, "sizes", [])
+                assert check_builtin(fresh(m7), ident_id, workers=2).holds
+                assert _InlinePool.sizes == ([2] if pools else []), (ident_id, threshold)

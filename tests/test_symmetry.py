@@ -61,19 +61,29 @@ def test_orbit_is_the_product_of_block_factorials():
     assert orbits["sagle-yamaguti"] == 2 and orbits["maltsev"] == 1
 
 
-@pytest.mark.parametrize("ident_id,per_prefix,slots", [
-    ("reductivity", 1, 2),            # 6Y(x;y), once per canonical (x, y)
-    ("yamagutian-constraint", 3, 3),  # 6Y([x,y];z) and its two turns, per (x, y, z)
-])
-def test_the_scan_visits_only_canonical_prefixes(monkeypatch, ident_id, per_prefix, slots):
+@pytest.mark.parametrize("ident_id,per_prefix,slots,grouped", [
+    # 6Y(x;y), once per (x, y) of a canonical prefix (x, y, z): the blocks
+    # leave 171 units, so m7's automorphisms cut them, and every orbit of
+    # prefixes has a member with (x, y) = (e1, e2)
+    ("reductivity", 1, 2, True),
+    # 6Y([x,y];z) and its two turns, per canonical (x, y, z): 57 units, so
+    # no group is sought
+    ("yamagutian-constraint", 3, 3, False),
+], ids=["reductivity-1-2", "yamagutian-constraint-3-3"])
+def test_the_scan_visits_only_canonical_prefixes(monkeypatch, ident_id, per_prefix, slots,
+                                                 grouped):
     # diagonal prefixes never violate, so only the work done shows that the
     # scan skips them
     calls = []
     original = dsl.sixfold_yamagutian
     monkeypatch.setattr(dsl, "sixfold_yamagutian", lambda *a: calls.append(1) or original(*a))
-    report = check_builtin(builtin("m7"), ident_id, exhaustive=True)
+    m7 = builtin("m7")
+    report = check_builtin(m7, ident_id, exhaustive=True)
     assert report.holds and report.substitutions_checked == 7 ** 3
-    assert len(calls) == per_prefix * math.comb(7, slots)
+    plan = BUILTIN_IDENTITIES[ident_id].ast.plan
+    canonical = oracle.canonical_prefixes(m7, plan, grouped)
+    assert len(canonical) == (7 if grouped else math.comb(7, slots))
+    assert len(calls) == per_prefix * len({p[:slots] for p in canonical})
 
 
 def test_identities_sharing_a_key_share_their_blocks():
