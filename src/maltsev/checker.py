@@ -14,7 +14,8 @@ and the violation counts.  The program visits only the canonical
 substitutions of its antisymmetric blocks (see :mod:`.dsl`), and from
 ``_PARALLEL_MIN`` scan units on, of the blocks and the algebra's
 basis-permutation automorphisms too (see :func:`_orbits`).  Pool chunks are
-still ranges of the whole stream, and the chunk holding the first violation
+still ranges of the whole stream, cut at equal counts of orbit-table
+entries where there is a table, and the chunk holding the first violation
 finds it.  Every report decodes the first index into its substitution and
 evaluates both sides there with :func:`dsl.eval_ast`, which runs the
 identity's one-substitution program: a column program's operator sides are
@@ -212,12 +213,20 @@ class WorkerPool:
         self.close()
 
 
-def _chunk_bounds(total: int, workers: int, unit: int = 1) -> list[tuple[int, int]]:
+def _chunk_bounds(total: int, workers: int, unit: int = 1,
+                  bases: Sequence[int] | None = None) -> list[tuple[int, int]]:
     """The [start, stop) ranges a pool of ``workers`` scans, in stream order.
 
     Every range starts at a multiple of ``unit``: a column program's prefix
-    of ``dim`` columns is never split, so no chunk counts it twice.
+    of ``dim`` columns is never split, so no chunk counts it twice.  Given
+    ``bases``, the stream indices of an orbit table's entries, the ranges
+    start at entries and hold as equal counts of them as they can, since
+    the canonical prefixes crowd the start of the stream.
     """
+    if bases:
+        n = min(len(bases), workers * _CHUNKS_PER_WORKER)
+        starts = [0, *(bases[e * len(bases) // n] for e in range(1, n))]
+        return list(zip(starts, [*starts[1:], total]))
     chunk = max(64, -(-total // (workers * _CHUNKS_PER_WORKER)))
     chunk = -(-chunk // unit) * unit
     return [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
@@ -261,7 +270,7 @@ def _scan(A: Algebra, ast: dsl.IdentityAst, exhaustive: bool,
                     for _, _, cols in orbits[1])
     if pool is None or pool.workers == 1 or units < _PARALLEL_MIN:
         return (*plan.scan(A, options, 0, total, exhaustive, orbits), total)
-    bounds = _chunk_bounds(total, pool.workers, width)
+    bounds = _chunk_bounds(total, pool.workers, width, orbits and orbits[0])
     executor = pool.executor(len(bounds))
     text = dsl.format_identity(ast)
     first, nviol, nprefixes = None, 0, 0

@@ -24,12 +24,14 @@ nonzero entries: a fully filled one holds at most ``dim**3 * (dim - 1) / 2``
 scalars, O(dim^4), and an algebra whose ternary brackets are never asked for
 holds nothing.
 
-An :class:`Operator` is stored by columns.  ``left_translation`` and
-``sixfold_yamagutian`` return operators that compute column l, ``[x, e_l]``
-from the structure constants or ``[x, y, e_l]`` from the table, the first
-time it is needed, so an operator applied to one vector costs about one
-``bracket`` or ``yamaguti`` call.  Application and composition share one
-kernel: column l of ``P @ Q`` is ``P`` applied to column l of ``Q``.
+An :class:`Operator` is stored by columns, and every operator an operation
+returns computes column l the first time it is needed: ``left_translation``
+and ``sixfold_yamagutian`` ``[x, e_l]`` from the structure constants or
+``[x, y, e_l]`` from the table, a sum, difference or scaling from column l
+of its operands, and ``P @ Q`` by applying ``P`` to column l of ``Q`` (so
+application and composition share one kernel).  An operator applied to one
+vector costs about one ``bracket`` or ``yamaguti`` call, and one column of a
+composed operator costs only the columns it reads.
 
 All values are immutable after construction and all operations are pure;
 scalars are Python ints or ``fractions.Fraction`` (always in lowest terms),
@@ -41,7 +43,7 @@ import re
 from fractions import Fraction
 from functools import partial
 from itertools import repeat
-from operator import add, mul, neg, sub
+from operator import add, matmul, mul, neg, sub
 from typing import Iterable, Iterator, Mapping
 
 Scalar = int | Fraction
@@ -179,13 +181,14 @@ class Vector:
 class Operator:
     """Immutable exact square matrix, acting on vectors from the left.
 
-    The matrix is stored by columns.  An operator built by
-    :func:`left_translation` or :func:`sixfold_yamagutian` computes column l
-    the first time it is needed and keeps it; every other operator is
-    stored in full.  Filling columns changes no value.
+    The matrix is stored by columns.  An operator that an operation returns
+    computes column l by its column rule (:meth:`_fill`) the first time it
+    is needed, and keeps it; one given by its rows, ``zero`` and
+    ``identity`` are stored in full.  ``rows``, ``==``, hashing and pickling
+    fill every column.  Filling columns changes no value.
     """
 
-    __slots__ = ("_cols", "_terms")
+    __slots__ = ("_cols", "_rule")
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]):
         rows = tuple(tuple(r) for r in rows)
@@ -198,26 +201,22 @@ class Operator:
             for c in r:
                 _check_scalar(c)
         self._cols = list(zip(*rows))
-        self._terms = None
+        self._rule = None
 
     @classmethod
     def _raw(cls, cols: list[tuple[Scalar, ...]]) -> Operator:
         p = object.__new__(cls)
         p._cols = cols
-        p._terms = None
+        p._rule = None
         return p
 
     @classmethod
-    def _lazy(cls, dim: int, terms) -> Operator:
-        """An operator whose column l, filled on first use, is the sum of
-        ``s * table[l]`` over the pairs ``(s, table)`` of ``terms``.
-
-        Each ``table[l]`` is a sparse ``((k, c), ...)`` column.  ``terms``
-        may be a callable that returns the pairs; it runs on the first fill.
-        """
+    def _lazy(cls, dim: int, how, a, b=None) -> Operator:
+        """An operator whose column l, filled on first use, is ``how`` of ``a``
+        and ``b`` (see :meth:`_fill`)."""
         p = object.__new__(cls)
         p._cols = [None] * dim
-        p._terms = terms
+        p._rule = how, a, b
         return p
 
     @classmethod
@@ -234,24 +233,47 @@ class Operator:
                          for j in range(dim)])
 
     def _fill(self, l: int) -> tuple[Scalar, ...]:
-        terms = self._terms
-        if callable(terms):
-            terms = self._terms = terms()
-        acc = [0] * len(self._cols)
-        for s, table in terms:
-            for k, c in table[l]:
-                acc[k] += s * c
-        col = self._cols[l] = tuple(acc)
+        """Column l by the column rule ``(how, a, b)``, kept: ``matmul``,
+        ``add`` or ``sub`` of the operators ``a`` and ``b``, ``mul`` of the
+        scalar ``a`` and ``b``, or, for None, the sum of ``s * table[l]``
+        over the pairs ``(s, table)`` of ``a`` (or of ``a()``, run on the
+        first fill), each ``table[l]`` a sparse ``((k, c), ...)``."""
+        how, a, b = self._rule
+        if how is None:
+            if callable(a):
+                a = a()
+                self._rule = None, a, None
+            acc = [0] * len(self._cols)
+            for s, table in a:
+                for k, c in table[l]:
+                    acc[k] += s * c
+            col = tuple(acc)
+        elif how is matmul:
+            col = a._image(b._cols[l] or b._fill(l))
+        elif how is mul:
+            col = tuple(map(mul, repeat(a), b._cols[l] or b._fill(l)))
+        else:  # add or sub: a loop fills a chain of them down their first
+            # operands, so a sum of many terms needs no deep recursion
+            chain = [self]
+            while a._cols[l] is None and a._rule[0] in (add, sub):
+                chain.append(a)
+                a = a._rule[1]
+            col = a._cols[l] or a._fill(l)
+            for op in reversed(chain):
+                how, _, b = op._rule
+                col = op._cols[l] = tuple(map(how, col, b._cols[l] or b._fill(l)))
+            return col
+        self._cols[l] = col
         return col
 
     def _columns(self) -> list[tuple[Scalar, ...]]:
         """Every column, filling the missing ones."""
         cols = self._cols
-        if self._terms is not None:
+        if self._rule is not None:
             for l, col in enumerate(cols):
                 if col is None:
                     self._fill(l)
-            self._terms = None
+            self._rule = None
         return cols
 
     def _image(self, coords: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
@@ -290,28 +312,26 @@ class Operator:
         if not isinstance(other, Operator):
             return NotImplemented
         self._require_same_dim(other, "operator addition")
-        return Operator._raw([tuple(map(add, a, b))
-                              for a, b in zip(self._columns(), other._columns())])
+        return Operator._lazy(len(self._cols), add, self, other)
 
     def __sub__(self, other: Operator) -> Operator:
         if not isinstance(other, Operator):
             return NotImplemented
         self._require_same_dim(other, "operator subtraction")
-        return Operator._raw([tuple(map(sub, a, b))
-                              for a, b in zip(self._columns(), other._columns())])
+        return Operator._lazy(len(self._cols), sub, self, other)
 
     def __neg__(self) -> Operator:
-        return Operator._raw([tuple(map(neg, a)) for a in self._columns()])
+        return Operator._lazy(len(self._cols), mul, -1, self)
 
     def __matmul__(self, other: Operator) -> Operator:
         if not isinstance(other, Operator):
             return NotImplemented
         self._require_same_dim(other, "operator composition")
-        return Operator._raw([self._image(col) for col in other._columns()])
+        return Operator._lazy(len(self._cols), matmul, self, other)
 
     def __rmul__(self, c: Scalar) -> Operator:
         _check_scalar(c)
-        return Operator._raw([tuple(map(mul, repeat(c), a)) for a in self._columns()])
+        return Operator._lazy(len(self._cols), mul, c, self)
 
     def apply(self, v: Vector) -> Vector:
         if len(v.coords) != len(self._cols):
@@ -601,7 +621,7 @@ def left_translation(A: Algebra, x: Vector) -> Operator:
     if len(x.coords) != dim:
         _require_dim(A, "left_translation", x=x)
     rows = A._rows
-    return Operator._lazy(dim, [(xi, rows[i]) for i, xi in enumerate(x.coords) if xi])
+    return Operator._lazy(dim, None, [(xi, rows[i]) for i, xi in enumerate(x.coords) if xi])
 
 
 def sixfold_yamagutian(A: Algebra, x: Vector, y: Vector) -> Operator:
@@ -614,7 +634,7 @@ def sixfold_yamagutian(A: Algebra, x: Vector, y: Vector) -> Operator:
     dim = len(A.basis)
     if not len(x.coords) == len(y.coords) == dim:
         _require_dim(A, "sixfold_yamagutian", x=x, y=y)
-    return Operator._lazy(dim, partial(_pair_columns, A, x, y))
+    return Operator._lazy(dim, None, partial(_pair_columns, A, x, y))
 
 
 def yamagutian(A: Algebra, x: Vector, y: Vector) -> Operator:

@@ -105,6 +105,13 @@ factorials).  A violation's first orbit member in stream order is
 canonical, so the first violation and every report stay those of the
 unreduced scan.
 
+``Program.diagonals`` are the key's *diagonal pairs*: two slots, in no one
+block, such that its polynomial is 0 once the later one's variable is set
+to the earlier one's.  A substitution that gives such a pair equal values
+holds in every anticommutative algebra, and options are equal iff their
+indices are, so a scan skips such prefixes before any step runs, and such
+last-slot indices.  No first violation or count moves.
+
 A permutation of the basis that is an automorphism of the algebra maps
 options to options and violations to violations.  With the orbit table of a
 group of them (:meth:`Program.orbits`), a scan visits only the prefixes, and
@@ -557,7 +564,10 @@ class Program:
 
     ``blocks`` holds the *antisymmetric blocks*: tuples of slots, in slot
     order, such that swapping the values of any two slots of a block
-    negates LHS - RHS in every anticommutative algebra (see ``_blocks``).
+    negates LHS - RHS in every anticommutative algebra, and ``diagonals``
+    the *diagonal pairs* ``(i, j)``, ``i < j``, such that LHS - RHS is 0
+    in every anticommutative algebra where slots i and j have equal values
+    (see :func:`_symmetries`).
 
     ``memos`` holds the *memo steps*: linear maps that leave out a slot
     below their level.  Until a slot at or before ``memo_from`` advances,
@@ -569,7 +579,8 @@ class Program:
 
     def __init__(self, multiplicities: Sequence[int], steps: Sequence[tuple[int, Callable]],
                  levels: Sequence[int], lhs: int, rhs: int, column: bool, scale: Scalar,
-                 blocks: Sequence[tuple[int, ...]], memos: Mapping[int, tuple[int, ...]]):
+                 blocks: Sequence[tuple[int, ...]], diagonals: Sequence[tuple[int, int]],
+                 memos: Mapping[int, tuple[int, ...]]):
         self.multiplicities = tuple(multiplicities)
         self.nvars = nvars = len(self.multiplicities)
         self.column = column
@@ -592,6 +603,7 @@ class Program:
                     self.prev[k] = block[t - 1]
                 self.after[k] = len(block) - 1 - t
         self.orbit = math.prod(math.factorial(len(b)) for b in self.blocks)
+        self.diagonals = tuple(diagonals)
         # memos: (register, step, the slots it reads) of each memo step;
         # memo_from: the last slot below a memo step's level that it does not read
         self.memos = tuple((out, step, memos[out]) for out, step in steps if out in memos)
@@ -624,11 +636,14 @@ class Program:
         find the stream's first violation, and their counts add up to the
         stream's (see the module docstring).  A column program compares
         column i of its operator sides where a vector program compares the
-        sides at i.  The orbits are the blocks', or those of :meth:`orbits`.
+        sides at i, and ends at its first bad column unless ``exhaustive``.
+        The orbits are the blocks', or those of :meth:`orbits`; a prefix or
+        last-slot index that a diagonal pair ties to an equal one is skipped.
         """
         if start >= stop:
             return None, 0, 0
         n, runs, inner, lhs, rhs = self.nvars, self.runs, self.inner, self.lhs, self.rhs
+        column = self.column
         if not n:
             left, right = self.evaluate(A, ())
             return (None, 0, 0) if left == right else (start, 1, 1)
@@ -637,10 +652,17 @@ class Program:
         fastest = options[last]
         prefixes = (self._prefixes(options, idx, start, stop) if orbits is None
                     else _orbit_prefixes(orbits, idx, start, stop, len(fastest)))
+        ties = [(i, j) for i, j in self.diagonals if j < last]
+        tied = [i for i, j in self.diagonals if j == last]
         r = [None] * self.size
         first, nviol, nprefixes = None, 0, 0
         memo_from = self.memo_from
+        since = n  # the slowest slot changed since the last prefix that ran
         for k, base, lo, weight, cols in prefixes:
+            if ties and any(idx[i] == idx[j] for i, j in ties):
+                since = min(since, k)  # each substitution of the prefix holds
+                continue
+            k, since = min(since, k), n
             for j in range(max(k, 0), last):
                 r[j] = options[j][idx[j]]
             if 0 <= k <= memo_from:  # a memo step's value may now repeat
@@ -651,18 +673,22 @@ class Program:
                 r[out] = step(A, r)
             end = min(len(fastest), stop - base)
             columns = range(lo, end) if cols is None else [i for i in cols if lo <= i < end]
-            if self.column:
-                bad = [i for i in columns if r[lhs].column(i) != r[rhs].column(i)]
-            else:
-                bad = []
-                for i in columns:
+            if tied:
+                equal = {idx[i] for i in tied}
+                columns = [i for i in columns if i not in equal]
+            bad = []
+            for i in columns:
+                if column:
+                    differ = r[lhs].column(i) != r[rhs].column(i)
+                else:
                     r[last] = fastest[i]
                     for out, step in inner:
                         r[out] = step(A, r)
-                    if r[lhs] != r[rhs]:
-                        bad.append(i)
-                        if not exhaustive:
-                            break
+                    differ = r[lhs] != r[rhs]
+                if differ:
+                    bad.append(i)
+                    if not exhaustive:
+                        break
             if bad:
                 if first is None:
                     first = base + bad[0]
@@ -932,8 +958,8 @@ def _compile(ast: IdentityAst, staged: bool = True) -> Program:
             live.update(operands[out])
     steps = [step for step in steps if step[0] in live]
     return Program(multiplicities, steps, levels, lhs, rhs, column,
-                   Fraction(1, lcm) if lcm != 1 else 1, _blocks(ast) if staged else (),
-                   memos)
+                   Fraction(1, lcm) if lcm != 1 else 1,
+                   *(_symmetries(ast) if staged else ((), ())), memos)
 
 
 class _TooLarge(Exception):
@@ -1034,58 +1060,96 @@ def _key(ast: IdentityAst) -> tuple | IdentityAst:
     return tuple(terms), multiplicities, leaf is not None
 
 
-def _blocks(ast: IdentityAst) -> tuple[tuple[int, ...], ...]:
-    """The antisymmetric blocks of a key's program (see :class:`Program`).
+def _symmetries(ast: IdentityAst) -> tuple[tuple, tuple]:
+    """The antisymmetric blocks and the diagonal pairs of a key's program
+    (see :class:`Program`); slot k is the key's variable k, or ``_``.
 
-    Slot k other than ``_`` is the key's variable k.  Two such slots of equal
-    multiplicity are antisymmetric when swapping their variables maps the
-    key's polynomial to its negative; a block is a class of slots whose every
-    pair is antisymmetric.  Swaps compose (the swap of ``a`` and ``c`` is that
-    of ``a`` and ``b`` conjugated by that of ``b`` and ``c``), so each slot
-    joins the first block whose first slot it is antisymmetric to.  A key
-    that is its identity has no blocks.  A swap renames each numbered
-    monomial of ``IdentityAst.expansion`` once, from its arguments' images.
+    Two slots of equal multiplicity, not the column slot, are antisymmetric
+    when swapping their variables negates the key's polynomial.  Swaps
+    compose (the swap of ``a`` and ``c`` is that of ``a`` and ``b``
+    conjugated by that of ``b`` and ``c``), so each slot joins the first
+    block whose first slot it is antisymmetric to, and a pair of slots in
+    two blocks (the column slot and a slot in no block are blocks of their
+    own here) is diagonal iff the blocks' first slots are.  For slots of
+    multiplicity 1 diagonal is antisymmetric (polarize ``[a,a] = 0``), so
+    only the column slot is tested, by a swap; any other pair is renamed.
+    Renaming maps each numbered monomial of ``IdentityAst.expansion`` once,
+    from its arguments' images.  A key that is its identity has neither.
     """
     if ast.expansion is None:
-        return ()
+        return (), ()
     numbers, poly = ast.expansion
     _, multiplicities, column = ast.key
     leaves = len(ast.variables) + 1
     pairs = list(numbers)[leaves:]
-    lone = [(n, c) for n, c in poly.items() if n < leaves]  # terms that are a variable
 
-    def antisymmetric(i: int, j: int) -> bool:
-        # a swap maps each monomial to ± one, so it negates poly iff it
-        # negates each coefficient.  images[n]: ±(1 + the image's number),
-        # or 0 where the image has no number, so no coefficient
-        images = list(range(1, leaves + 1))
-        images[i], images[j] = j + 1, i + 1
-        if any(poly.get(images[n] - 1) != -c for n, c in lone):
-            return False
-        for n, (a, b) in enumerate(pairs, leaves):
+    def renamed(images: list[int]) -> Iterator[int]:
+        # the image of each numbered monomial, in number order, under a
+        # renaming of the leaves (``images``): ±(1 + its number), numbering
+        # new monomials past the key's, or 0 where it is 0
+        fresh: dict = {}
+        yield from images
+        for a, b in pairs:
             x, y, s = images[a], images[b], 1
             if x < 0:
                 x, s = -x, -s
             if y < 0:
                 y, s = -y, -s
-            m = numbers.get((x - 1, y - 1) if x < y else (y - 1, x - 1))  # [a,b] = -[b,a]
-            image = 0 if m is None or not x or not y else (s if x < y else -s) * (m + 1)
+            if x == y or not x or not y:  # [a,a] = 0
+                image = 0
+            else:
+                pair = (x - 1, y - 1) if x < y else (y - 1, x - 1)  # [a,b] = -[b,a]
+                m = numbers.get(pair)
+                if m is None:
+                    m = fresh.setdefault(pair, len(numbers) + len(fresh))
+                image = (s if x < y else -s) * (m + 1)
             images.append(image)
+            yield image
+
+    def antisymmetric(i: int, j: int) -> bool:
+        # a swap maps each monomial to ± one, so it negates poly iff it
+        # negates each coefficient
+        images = list(range(1, leaves + 1))
+        images[i], images[j] = j + 1, i + 1
+        for n, image in enumerate(renamed(images)):
             c = poly.get(n)
-            if c and (not image or poly.get(abs(image) - 1) != (-c if image > 0 else c)):
+            if c and poly.get(abs(image) - 1) != (-c if image > 0 else c):
                 return False
         return True
 
-    blocks: list[list[int]] = []
+    def diagonal(i: int, j: int) -> bool:
+        images = list(range(1, leaves + 1))
+        images[j] = i + 1
+        sums: dict[int, Scalar] = {}
+        for n, image in enumerate(renamed(images)):
+            c = poly.get(n)
+            if c and image:
+                sums[abs(image)] = sums.get(abs(image), 0) + (c if image > 0 else -c)
+        return not any(sums.values())
+
+    classes: list[list[int]] = []
     for j in range(len(multiplicities) - column):
-        for block in blocks:
+        for block in classes:
             i = block[0]
             if multiplicities[i] == multiplicities[j] and antisymmetric(i, j):
                 block.append(j)
                 break
         else:
-            blocks.append([j])
-    return tuple(tuple(b) for b in blocks if len(b) > 1)
+            classes.append([j])
+    if column:
+        classes.append([len(multiplicities) - 1])
+    diagonals = []
+    for t, first in enumerate(classes):
+        for second in classes[t + 1:]:
+            i, j = first[0], second[0]
+            if multiplicities[i] == multiplicities[j] == 1:
+                tied = second is classes[-1] and column and antisymmetric(i, j)
+            else:
+                tied = diagonal(i, j)
+            if tied:
+                diagonals += [(min(a, b), max(a, b)) for a in first for b in second]
+    blocks = tuple(tuple(b) for b in classes[:len(classes) - column] if len(b) > 1)
+    return blocks, tuple(sorted(diagonals))
 
 
 def eval_ast(A: Algebra, ast: IdentityAst,

@@ -13,10 +13,12 @@ and :func:`check_ast` scans with it one substitution at a time: no
 registers, no stages and no partial maps.  :func:`oriented` is the reading
 of a vector identity that the column rule tests.  :func:`automorphisms`,
 :func:`orbit` and :func:`canonical_prefixes` find by brute force what the
-automorphism search and the orbit tables compute.
+automorphism search and the orbit tables compute.  :func:`diagonal_pairs`
+finds a program's diagonal pairs by renaming variables in the text.
 """
+import re
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from maltsev import (
     CheckReport,
@@ -30,7 +32,8 @@ from maltsev import (
     substitution_options,
     yamaguti,
 )
-from maltsev.dsl import Bracket, Column, IdentityAst, Scale, Sum, Var
+from maltsev.dsl import (Bracket, Column, IdentityAst, Scale, Sum, Var, format_identity,
+                         parse_identity)
 
 
 def _ev_anticommutativity(A, a):
@@ -350,4 +353,19 @@ def canonical_prefixes(A, plan, grouped=True):
         if idx not in seen and all(len({idx[k] for k in b}) == len(b) for b in plan.blocks):
             out.append(idx)
             seen |= orbit(idx, options, group, plan.blocks)
+    return out
+
+
+def diagonal_pairs(ast):
+    """The pairs of slots (i, j), i < j, of ``ast``'s staged program, in no
+    one of its blocks, such that the text with slot j's variable (or ``_``)
+    replaced by slot i's vanishes."""
+    plan, text = ast.plan, format_identity(ast)
+    names = [*ast.variables, "_"][:plan.nvars]
+    blocked = {pair for block in plan.blocks for pair in combinations(block, 2)}
+    out = []
+    for i, j in combinations(range(plan.nvars), 2):
+        old = "_" if names[j] == "_" else rf"\b{names[j]}\b"
+        if (i, j) not in blocked and parse_identity(re.sub(old, names[i], text)).vanishes:
+            out.append((i, j))
     return out

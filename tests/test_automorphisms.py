@@ -230,3 +230,26 @@ def test_pooled_reduced_reports_match_the_oracle(monkeypatch):
             assert check_builtin(A, ident_id, exhaustive=exhaustive, workers=2) \
                 == oracle.check(A, ident_id, exhaustive=exhaustive)
             assert A._orbits
+
+
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_pool_chunks_hold_equal_counts_of_orbit_table_entries(monkeypatch, exhaustive):
+    # all 21 canonical glts-f prefixes on m7 lie in the first 4% of the
+    # stream: chunks of equal stream length would leave one chunk all the work
+    monkeypatch.setattr(checker, "_PARALLEL_MIN", 1)
+    monkeypatch.setattr(checker, "ProcessPoolExecutor", _InlinePool)
+    cut = []
+    chunk_bounds = checker._chunk_bounds
+    monkeypatch.setattr(checker, "_chunk_bounds",
+                        lambda *a: cut.append(chunk_bounds(*a)) or cut[-1])
+    m7 = builtin("m7")
+    pooled = check_builtin(m7, "glts-f", exhaustive=exhaustive, workers=2)
+    bases = next(iter(m7._orbits.values()))[0]
+    assert len(cut) == 1 and len(bases) == 21
+    bounds = cut[0]
+    held = [sum(start <= b < stop for b in bases) for start, stop in bounds]
+    assert sum(held) == len(bases) and max(held) <= -(-len(bases) // len(bounds))
+    assert bounds[0][0] == 0 and bounds[-1][1] == 7 ** 5
+    assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+    monkeypatch.setattr(checker, "_PARALLEL_MIN", 10 ** 9)  # serial
+    assert check_builtin(builtin("m7"), "glts-f", exhaustive=exhaustive) == pooled

@@ -22,7 +22,8 @@ from maltsev import checker, cli, dsl
 from maltsev.identities import BUILTIN_IDENTITIES, GLTS_AXIOM_IDS
 
 from . import oracle
-from .support import RANDOM_VECTOR_SEED, fresh, random_vector
+from .support import (RANDOM_ALGEBRA_SEED, RANDOM_VECTOR_SEED, fresh, random_algebra,
+                      random_vector)
 
 
 # ----------------------------------------------------- substitution stream
@@ -203,19 +204,24 @@ class _InlinePool:
 
 
 @pytest.mark.parametrize("workers,cpus,expected", [
-    (100000, 1000, 16),  # chunks bind: abelian(4) glts-f has 1024 subs, 16 chunks
+    (100000, 1000, 16),  # chunks bind: glts-f has 1024 subs, 16 chunks
     (100000, 3, 3),      # the CPU count binds
     (2, 1000, 2),        # the request binds
     (4, None, 1),        # cpu_count() may be unknown
 ])
 def test_pool_size_is_capped(monkeypatch, workers, cpus, expected):
+    # a dim-4 algebra whose basis permutations leave no automorphism but
+    # the identity: its chunks are stream ranges of equal length (an orbit
+    # table would cut them at its entries)
+    A = random_algebra(random.Random(RANDOM_ALGEBRA_SEED), 4)
+    assert len(A.automorphisms(10 ** 6)) == 1
     monkeypatch.setattr(checker, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(checker, "_PARALLEL_MIN", 1)  # glts-f has 64 scan units
     monkeypatch.setattr(checker.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_InlinePool, "sizes", [])
-    report = check_builtin(builtin("abelian(4)"), "glts-f", workers=workers)
+    report = check_builtin(fresh(A), "glts-f", workers=workers)
     assert _InlinePool.sizes == [expected]
-    assert report == check_builtin(builtin("abelian(4)"), "glts-f")
+    assert report == check_builtin(fresh(A), "glts-f")
 
 
 @pytest.mark.parametrize("ident_id,blocks,units", [

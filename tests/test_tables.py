@@ -2,20 +2,26 @@
 
 ``yamaguti`` and ``sixfold_yamagutian`` contract a cached table of
 ``[e_i, e_j, .]``, and an ``Operator`` is stored by columns, which
-``left_translation`` and ``sixfold_yamagutian`` fill on first use.  The
-oracles below are the textbook definitions, written row by row and without
-either shortcut.  The operators ``[x,.]`` and ``[x,y,.]`` the staged scan
-applies are checked against ``bracket``, ``yamaguti`` and the definitions.
+``left_translation``, ``sixfold_yamagutian`` and every operation on
+operators fill on first use.  The oracles below are the textbook
+definitions, written row by row and without either shortcut.  The operators
+``[x,.]`` and ``[x,y,.]`` the staged scan applies are checked against
+``bracket``, ``yamaguti`` and the definitions, and a scan that stops early
+fills only the columns it compared.
 """
+import math
 import pickle
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from maltsev import Algebra, Operator, Vector, bracket, builtin, left_translation
-from maltsev import sixfold_yamagutian, substitution_options, yamaguti
+from maltsev import Algebra, Operator, Vector, bracket, builtin, check_identity, checker
+from maltsev import left_translation, parse_identity, sixfold_yamagutian, substitution_options
+from maltsev import yamaguti
+from maltsev.identities import BUILTIN_IDENTITIES
 from maltsev.catalog import full_catalog
 
 from .support import RANDOM_ALGEBRA_SEED, RANDOM_VECTOR_SEED, random_algebra, random_vector
@@ -192,14 +198,14 @@ def test_partial_map_columns_are_lazy_and_complete(A):
     ternary.apply(Vector.zero(A.dim))
     assert _computed(binary) == _computed(ternary) == []
     # no pair is contracted before a column is needed
-    assert callable(ternary._terms) and A._ternary is None
+    assert callable(ternary._rule[1]) and A._ternary is None
     last = A.dim - 1
     for op in (binary, ternary):
         op.apply(3 * e[last])
         assert _computed(op) == [last]
         op.apply(e[0] + e[last])
         assert _computed(op) == sorted({0, last})
-    assert not callable(ternary._terms)
+    assert not callable(ternary._rule[1])
     columns = [(binary.apply(v).coords, ternary.apply(v).coords) for v in e]
     assert _computed(binary) == _computed(ternary) == list(range(A.dim))
     assert Operator(zip(*(c[0] for c in columns))) == oracle_left_translation(A, x)
@@ -230,11 +236,76 @@ def test_lazy_operators_match_the_row_oracles(A):
 def test_partly_filled_operator_pickles_to_an_equal_one(A):
     rng = random.Random(RANDOM_VECTOR_SEED)
     x, y = random_vector(rng, A.dim), random_vector(rng, A.dim)
-    for op, expected in ((left_translation(A, x), oracle_left_translation(A, x)),
-                         (sixfold_yamagutian(A, x, y), oracle_sixfold(A, x, y))):
+    P, Q = left_translation(A, x), sixfold_yamagutian(A, x, y)
+    p, q = oracle_left_translation(A, x), oracle_sixfold(A, x, y)
+    negated = Operator([[-c for c in r] for r in oracle_matmul(q, p).rows])
+    # the primitives and every operation on them fill column 0 alone here
+    for op, expected in ((P, p), (Q, q), (P @ Q, oracle_matmul(p, q)),
+                         (P + Q, _rowwise(lambda a, b: a + b, p, q)),
+                         (Q - 2 * P, _rowwise(lambda a, b: b - 2 * a, p, q)), (-(Q @ P), negated)):
         op.apply(A.basis_vector(0))
         assert _computed(op) == [0]
         copy = pickle.loads(pickle.dumps(op))
         assert _computed(copy) == list(range(A.dim))
         assert copy == expected and hash(copy) == hash(expected)
         assert copy == op and copy.rows == op.rows
+
+
+def _made(monkeypatch) -> list[Operator]:
+    """The operators that ``@``, ``+``, ``-``, unary ``-`` and scalar ``*``
+    return from now on."""
+    made = []
+    for name in ("__matmul__", "__add__", "__sub__", "__neg__", "__rmul__"):
+        original = getattr(Operator, name)
+        monkeypatch.setattr(Operator, name,
+                            lambda *args, f=original: made.append(f(*args)) or made[-1])
+    return made
+
+
+def _scan(monkeypatch, A, ident_id, exhaustive):
+    """The scan of ``ident_id``'s program over its stream on ``A``, and the
+    operators its steps composed."""
+    plan = BUILTIN_IDENTITIES[ident_id].ast.plan
+    options = [checker._options(A.dim, m) for m in plan.multiplicities]
+    made = _made(monkeypatch)
+    return plan.scan(A, options, 0, math.prod(map(len, options)), exhaustive), made
+
+
+# each composed register of jacobi and glts-f is a side or the right operand
+# of a composition or sum, so it fills exactly the compared columns
+@pytest.mark.parametrize("name,ident_id,first,compared", [
+    # x, y = e0, e1 fails at column 3; the diagonal pairs (x,z) and (y,z)
+    # skip columns 0 and 1
+    ("m7", "jacobi", 1 * 7 + 3, [2, 3]),
+    # x, y, z, w = e0, e1, e0, e1 fails at column 0
+    ("rand4-0", "glts-f", (1 * 16 + 1) * 4 + 0, [0]),
+])
+def test_a_failing_first_violation_scan_fills_only_the_compared_columns(monkeypatch, name,
+                                                                      ident_id, first,
+                                                                      compared):
+    A = next(A for A in ALGEBRAS if A.name == name)
+    scan, made = _scan(monkeypatch, A, ident_id, False)
+    assert scan == (first, 1, 1)
+    assert made and all(_computed(op) == compared for op in made)
+
+
+def test_an_exhaustive_scan_fills_every_column_it_does_not_skip(monkeypatch):
+    A = next(A for A in ALGEBRAS if A.name == "rand4-0")
+    scan, made = _scan(monkeypatch, A, "glts-f", True)
+    assert scan[0] is not None and made
+    assert all(_computed(op) == [0, 1, 2, 3] for op in made)
+    # jacobi's diagonal pairs skip the columns of x and of y in each prefix
+    made.clear()
+    _scan(monkeypatch, builtin("m7"), "jacobi", True)
+    assert made and all(len(_computed(op)) == 5 for op in made)
+
+
+def test_a_long_sum_fills_in_any_depth_of_stack():
+    A = builtin("so3")
+    P = left_translation(A, A.basis_vector(0))
+    S = P
+    for i in range(3 * sys.getrecursionlimit()):  # - P + P - P ...: S stays P
+        S = S + P if i % 2 else S - P
+    assert S.column(1) == P.column(1) and S == P
+    text = " + ".join(["[x,[y,_]]"] * 3 * sys.getrecursionlimit()) + " = 0"
+    assert not check_identity(A, parse_identity(text)).holds
