@@ -10,7 +10,9 @@ corrupt every downstream check.  Building the octonions by Cayley-Dickson
 doubling and reading the commutators of the seven imaginary units off the
 product is self-certifying, because the test suite then proves the result
 satisfies the Mal'tsev identity and fails the Jacobi identity by brute
-force.
+force.  The doubling formula is applied to units alone: the product of two
+units is a signed unit, found by a recursion of depth 3 on (sign, index)
+pairs, and the tests check it against the product of whole octonions.
 """
 from __future__ import annotations
 
@@ -87,41 +89,42 @@ def full_catalog() -> tuple[Algebra, ...]:
 
 # --- octonions by Cayley-Dickson doubling -------------------------------
 #
-# Elements are tuples of 2^k ints; a pair (a, b) of halves multiplies as
-# (a,b)(c,d) = (ac - d conj(b), conj(a) d + c b), with conj(a,b) =
-# (conj(a), -b) and plain integer arithmetic at length 1.
+# A pair (a, b) of halves multiplies as (a,b)(c,d) = (ac - d conj(b),
+# conj(a) d + c b), with conj(a,b) = (conj(a), -b).  The product of two
+# basis units is then a signed unit: e_a = (e_a, 0) for a below the half
+# and (0, e_(a-half)) above it, and conj(e_a) = -e_a for every a but 0.
 
-def _cd_conj(x: tuple[int, ...]) -> tuple[int, ...]:
-    if len(x) == 1:
-        return x
-    n = len(x) // 2
-    return _cd_conj(x[:n]) + tuple(-t for t in x[n:])
-
-
-def _cd_mul(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-    if len(x) == 1:
-        return (x[0] * y[0],)
-    n = len(x) // 2
-    a, b = x[:n], x[n:]
-    c, d = y[:n], y[n:]
-    left = tuple(p - q for p, q in zip(_cd_mul(a, c), _cd_mul(d, _cd_conj(b))))
-    right = tuple(p + q for p, q in zip(_cd_mul(_cd_conj(a), d), _cd_mul(c, b)))
-    return left + right
+def _cd_unit_mul(a: int, b: int, n: int) -> tuple[int, int]:
+    """The product of the units e_a and e_b of the doubled algebra of
+    dimension ``n`` (a power of two), as (sign, index)."""
+    if n == 1:
+        return 1, 0
+    h = n // 2
+    if a < h and b < h:  # (x,0)(z,0) = (xz, 0)
+        return _cd_unit_mul(a, b, h)
+    if a < h:  # (x,0)(0,w) = (0, conj(x) w)
+        s, c = _cd_unit_mul(a, b - h, h)
+        return (s if a == 0 else -s), h + c
+    if b < h:  # (0,y)(z,0) = (0, z y)
+        s, c = _cd_unit_mul(b, a - h, h)
+        return s, h + c
+    s, c = _cd_unit_mul(b - h, a - h, h)  # (0,y)(0,w) = (-w conj(y), 0)
+    return (-s if a == h else s), c
 
 
 def _build_m7() -> Algebra:
-    def unit(k: int) -> tuple[int, ...]:
-        return tuple(1 if i == k else 0 for i in range(8))
-
     pairs = {}
     for i in range(1, 8):
         for j in range(i + 1, 8):
-            prod = _cd_mul(unit(i), unit(j))
-            comm = tuple(p - q for p, q in zip(prod, _cd_mul(unit(j), unit(i))))
+            comm = [0] * 8
+            s, k = _cd_unit_mul(i, j, 8)
+            comm[k] += s
+            s, k = _cd_unit_mul(j, i, 8)
+            comm[k] -= s
             if comm[0] != 0:
                 raise AssertionError(
                     f"octonion commutator [u{i}, u{j}] left the imaginary span")
-            pairs[(i - 1, j - 1)] = comm[1:]
+            pairs[(i - 1, j - 1)] = tuple(comm[1:])
     return Algebra("m7", tuple(f"e{i}" for i in range(1, 8)), pairs)
 
 

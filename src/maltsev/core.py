@@ -74,12 +74,14 @@ def parse_rational(text: str) -> Scalar:
 
 
 def format_rational(x: Scalar) -> str:
-    if isinstance(x, Fraction) and x.denominator != 1:
-        return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
+    if type(x) is not int:  # isinstance(x, Fraction) is slow for an int
+        if isinstance(x, Fraction) and x.denominator != 1:
+            return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
+        x = int(x)
     try:
-        return str(int(x))
+        return str(x)
     except ValueError:
-        return _decimal(int(x))
+        return _decimal(x)
 
 
 def _decimal(n: int) -> str:

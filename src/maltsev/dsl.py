@@ -736,38 +736,82 @@ class Program:
     def orbits(self, options: Sequence[Sequence[Vector]],
                group: Sequence[tuple[int, ...]]) -> tuple[list[int], list[tuple]]:
         """The orbit table of the product of ``options`` under the blocks and
-        ``group``, automorphisms that permute the basis; the last slot is in
-        no block.  For each canonical prefix, in stream order: its stream
-        index, and its option indices, its orbit and None or, where its
-        stabilizer moves columns, the canonical columns with their orbits."""
-        moves = []  # per slot and element, the image of each option index
-        for o in options:
-            sets = [tuple(i for i, c in enumerate(v.coords) if c) for v in o]
-            where = {s: i for i, s in enumerate(sets)}
-            moves.append([[where[tuple(sorted(p[i] for i in s))] for s in sets] for p in group])
+        ``group``, a group of automorphisms that permute the basis; the last
+        slot is in no block.  For each canonical prefix that no diagonal pair
+        ties, in stream order: its stream index, and its option indices, its
+        orbit and None or, where its stabilizer moves columns, the canonical
+        columns with their orbits.
 
-        def image(g: int, p: tuple[int, ...]) -> tuple[int, ...]:
-            q = [move[g][i] for move, i in zip(moves, p)]
-            for block in self.blocks:
-                for k, i in zip(block, sorted(q[k] for k in block)):
-                    q[k] = i
-            return tuple(q)
+        A prefix is canonical when it comes first in stream order within its
+        orbit.  The table is built depth first, one slot at a time, over the
+        option indices that increase along each block.  At a *closed*
+        position, one that no block straddles, a prefix is kept only if no
+        element of the stabilizer of its part before the last closed
+        position maps it below itself, once each block's images are sorted;
+        the elements that fix it go on.  Their images agree with the prefix
+        before that position, so a prefix that passes every such test comes
+        first in its orbit, and a canonical one passes each.  The orbit then
+        holds ``len(group) / len(stabilizer)`` prefixes, and the columns'
+        orbits are those of the whole prefix's stabilizer.
+        """
+        n, last, prev = self.nvars, self.nvars - 1, self.prev
+        # per multiplicity (one option list each) and element, the image of each option index
+        tables: dict[int, Sequence] = {}
+        for m, o in zip(self.multiplicities, options):
+            if m == 1:  # the options e_0 ... e_{d-1}
+                tables[m] = group
+            elif m not in tables:
+                sets = [[i for i, c in enumerate(v.coords) if c] for v in o]
+                where = {frozenset(s): i for i, s in enumerate(sets)}
+                tables[m] = [[where[frozenset([p[i] for i in s])] for s in sets] for p in group]
+        moves = [tables[m] for m in self.multiplicities]
+        top = [len(o) - 1 - a for o, a in zip(options, self.after)]  # highest canonical index
+        strides = [math.prod(map(len, options[k + 1:])) for k in range(last)]
+        ties = [[i for i, j in self.diagonals if j == k] for k in range(last)]
+        # checks[k]: where k is a closed position, the slots since the one
+        # before it, and the blocks among them, by place in that span
+        checks, start = [None] * n, 0
+        for k in range(1, n):
+            if all(b[-1] < k or b[0] >= k for b in self.blocks):
+                checks[k] = (range(start, k), [[j - start for j in b] for b in self.blocks
+                                               if start <= b[0] < k])
+                start = k
+        idx, bases, entries = [0] * n, [], []
 
-        last = self.nvars - 1
-        bases, entries, seen, idx = [], [], set(), [0] * self.nvars
-        for _, base, _, _, _ in self._prefixes(options, idx, 0, math.prod(map(len, options))):
-            p = tuple(idx[:last])
-            if p in seen:
-                continue
-            images = [image(g, p) for g in range(len(group))]
-            seen.update(images)
-            stabilizer = [moves[last][g] for g, q in enumerate(images) if q == p]
-            cols = None
-            if len(stabilizer) > 1:
-                orbits = [{move[i] for move in stabilizer} for i in range(len(options[last]))]
-                cols = {i: len(o) for i, o in enumerate(orbits) if i == min(o)}
-            bases.append(base)
-            entries.append((p, self.orbit * len(set(images)), cols))
+        def walk(k: int, stabilizer: Sequence[int]) -> None:
+            # the slots before k are set, and the elements of ``stabilizer``
+            # fix them up to the closed position before k
+            if checks[k] is not None:
+                span, inner = checks[k]
+                p = idx[span.start:k]
+                fixing = []
+                for g in stabilizer:
+                    q = [moves[j][g][idx[j]] for j in span]
+                    for block in inner:
+                        for t, i in zip(block, sorted([q[t] for t in block])):
+                            q[t] = i
+                    if q < p:
+                        return
+                    if q == p:
+                        fixing.append(g)
+                stabilizer = fixing
+            if k == last:
+                cols = None
+                if len(stabilizer) > 1:
+                    move = moves[last]
+                    orbits = [{move[g][i] for g in stabilizer} for i in range(len(options[last]))]
+                    cols = {i: len(o) for i, o in enumerate(orbits) if i == min(o)}
+                bases.append(sum(map(operator.mul, idx, strides)))
+                entries.append((tuple(idx[:last]), self.orbit * len(group) // len(stabilizer),
+                                cols))
+                return
+            tied = {idx[i] for i in ties[k]}  # a value that makes every substitution hold
+            for i in range(idx[prev[k]] + 1 if prev[k] >= 0 else 0, top[k] + 1):
+                if i not in tied:
+                    idx[k] = i
+                    walk(k + 1, stabilizer)
+
+        walk(0, range(len(group)))
         return bases, entries
 
 

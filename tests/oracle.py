@@ -13,9 +13,13 @@ and :func:`check_ast` scans with it one substitution at a time: no
 registers, no stages and no partial maps.  :func:`oriented` is the reading
 of a vector identity that the column rule tests.  :func:`automorphisms`,
 :func:`orbit` and :func:`canonical_prefixes` find by brute force what the
-automorphism search and the orbit tables compute.  :func:`diagonal_pairs`
-finds a program's diagonal pairs by renaming variables in the text.
+automorphism search and the orbit tables compute, and :func:`stream_orbits`
+builds an orbit table by walking every prefix of the stream.
+:func:`diagonal_pairs` finds a program's diagonal pairs by renaming
+variables in the text.  :func:`_cd_mul` multiplies whole octonions, which
+the catalog multiplies unit by unit.
 """
+import math
 import re
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -369,3 +373,65 @@ def diagonal_pairs(ast):
         if (i, j) not in blocked and parse_identity(re.sub(old, names[i], text)).vanishes:
             out.append((i, j))
     return out
+
+
+def stream_orbits(plan, options, group):
+    """:meth:`maltsev.dsl.Program.orbits` by walking every block-canonical
+    prefix of the stream: each one not yet met is the first of its orbit,
+    whose images under every element of ``group`` are then met; the tied
+    ones (a diagonal pair with equal option indices) are left out."""
+    moves = []  # per slot and element, the image of each option index
+    for o in options:
+        sets = [tuple(i for i, c in enumerate(v.coords) if c) for v in o]
+        where = {s: i for i, s in enumerate(sets)}
+        moves.append([[where[tuple(sorted(p[i] for i in s))] for s in sets] for p in group])
+
+    def image(g, p):
+        q = [move[g][i] for move, i in zip(moves, p)]
+        for block in plan.blocks:
+            for k, i in zip(block, sorted(q[k] for k in block)):
+                q[k] = i
+        return tuple(q)
+
+    last = plan.nvars - 1
+    ties = [(i, j) for i, j in plan.diagonals if j < last]
+    bases, entries, seen, idx = [], [], set(), [0] * plan.nvars
+    for _, base, _, _, _ in plan._prefixes(options, idx, 0, math.prod(map(len, options))):
+        p = tuple(idx[:last])
+        if p in seen:
+            continue
+        images = [image(g, p) for g in range(len(group))]
+        seen.update(images)
+        if any(p[i] == p[j] for i, j in ties):
+            continue
+        stabilizer = [moves[last][g] for g, q in enumerate(images) if q == p]
+        cols = None
+        if len(stabilizer) > 1:
+            orbits = [{move[i] for move in stabilizer} for i in range(len(options[last]))]
+            cols = {i: len(o) for i, o in enumerate(orbits) if i == min(o)}
+        bases.append(base)
+        entries.append((p, plan.orbit * len(set(images)), cols))
+    return bases, entries
+
+
+# octonions by Cayley-Dickson doubling, on whole vectors: elements are
+# tuples of 2^k ints, and a pair (a, b) of halves multiplies as
+# (a,b)(c,d) = (ac - d conj(b), conj(a) d + c b), with conj(a,b) =
+# (conj(a), -b) and plain integer arithmetic at length 1
+
+def _cd_conj(x):
+    if len(x) == 1:
+        return x
+    n = len(x) // 2
+    return _cd_conj(x[:n]) + tuple(-t for t in x[n:])
+
+
+def _cd_mul(x, y):
+    if len(x) == 1:
+        return (x[0] * y[0],)
+    n = len(x) // 2
+    a, b = x[:n], x[n:]
+    c, d = y[:n], y[n:]
+    left = tuple(p - q for p, q in zip(_cd_mul(a, c), _cd_mul(d, _cd_conj(b))))
+    right = tuple(p + q for p, q in zip(_cd_mul(_cd_conj(a), d), _cd_mul(c, b)))
+    return left + right

@@ -8,7 +8,8 @@ image does.  A scan whose blocks leave ``_PARALLEL_MIN`` units or more then
 visits only the prefixes and columns that come first in stream order within
 their orbit under the blocks and the group, and counts each violation with
 its orbit.  The tests compare the search with trying every permutation, the
-reduced scan on every chunk range with an oracle that applies every element
+orbit tables with the walk over every prefix of the stream that they
+replace, the reduced scan on every chunk range with an oracle that applies every element
 of the group, chunk partitions with the unreduced stream, and the reports of
 the checker with the unreduced oracle, serial and pooled.
 """
@@ -16,9 +17,10 @@ import math
 
 import pytest
 
-from maltsev import Algebra, builtin, check_builtin, checker, parse_identity
+from maltsev import Algebra, builtin, check_builtin, checker, format_identity, parse_identity
 from maltsev.catalog import MAX_ABELIAN_DIM
 from maltsev.cli import main
+from maltsev.identities import BUILTIN_IDENTITIES
 
 from . import oracle
 from .support import fresh, random_dim3_algebras
@@ -107,6 +109,44 @@ def test_a_last_variable_in_a_block_takes_no_group():
         assert not plan.column and plan.prev[-1] >= 0
         assert checker._orbits(m7, plan, [checker._options(7, m)
                                           for m in plan.multiplicities]) is None
+
+
+# every builtin whose program can take a table, and two texts whose blocks
+# are not runs of slots: ((0, 2),) and the interleaved ((0, 3), (1, 2))
+TABLE_ASTS = [ast for ast in (i.ast for i in BUILTIN_IDENTITIES.values())
+              if not ast.vanishes and ast.plan.nvars and ast.plan.prev[-1] < 0]
+TABLE_ASTS += [parse_identity("[[[x,y],z],w] - [[[z,y],x],w] = 0"),
+               parse_identity("[[x,[y,z]],[u,w]] - [[u,[y,z]],[x,w]] = 0")]
+
+
+@pytest.mark.parametrize("A", ORDERS, ids=lambda A: A.name)
+def test_orbit_tables_equal_the_stream_walk(A):
+    # bases, prefixes, weights and column orbits, entry for entry
+    assert [ast.plan.blocks for ast in TABLE_ASTS[-2:]] == [((0, 2),), ((0, 3), (1, 2))]
+    group = A.automorphisms(10 ** 6)
+    for ast in TABLE_ASTS:
+        plan = ast.plan
+        options = [checker._options(A.dim, m) for m in plan.multiplicities]
+        assert plan.orbits(options, group) == oracle.stream_orbits(plan, options, group), \
+            format_identity(ast)
+
+
+def test_orbit_tables_leave_out_tied_prefixes():
+    # maltsev's x = y: (e1, e1) comes first in its orbit, one of the 10 that
+    # the blocks and the group leave, and every substitution of it holds
+    m7 = builtin("m7")
+    group = m7.automorphisms(10 ** 6)
+    sizes = {}
+    for ident_id in ("glts-f", "maltsev", "sagle-yamaguti"):
+        plan = BUILTIN_IDENTITIES[ident_id].ast.plan
+        options = [checker._options(7, m) for m in plan.multiplicities]
+        entries = plan.orbits(options, group)[1]
+        sizes[ident_id] = len(entries)
+        ties = [(i, j) for i, j in plan.diagonals if j < plan.nvars - 1]
+        assert not any(p[i] == p[j] for p, _, _ in entries for i, j in ties)
+    assert sizes == {"glts-f": 21, "maltsev": 9, "sagle-yamaguti": 7}
+    canonical = oracle.canonical_prefixes(m7, BUILTIN_IDENTITIES["maltsev"].ast.plan)
+    assert len(canonical) == 10 and (0, 0) in canonical
 
 
 def _decoded(options, index):

@@ -10,12 +10,13 @@ from maltsev import (
     save_algebra,
 )
 from maltsev.catalog import (
-    _cd_conj,
-    _cd_mul,
+    _cd_unit_mul,
     algebra_to_data,
     full_catalog,
     validate_algebra_data,
 )
+
+from .oracle import _cd_conj, _cd_mul
 
 
 def test_builtin_names():
@@ -71,6 +72,30 @@ def test_octonion_imaginary_units_anticommute():
 def test_octonion_conjugation_is_involutive():
     x = (3, -1, 4, 1, -5, 9, 2, -6)
     assert _cd_conj(_cd_conj(x)) == x
+
+
+def _unit(k):
+    return tuple(1 if i == k else 0 for i in range(8))
+
+
+def test_unit_products_are_the_whole_octonion_products():
+    for a in range(8):
+        for b in range(8):
+            sign, c = _cd_unit_mul(a, b, 8)
+            assert tuple(sign * t for t in _unit(c)) == _cd_mul(_unit(a), _unit(b)), (a, b)
+
+
+def test_m7_is_read_off_the_whole_octonion_products():
+    want = []
+    for i in range(1, 8):
+        for j in range(i + 1, 8):
+            comm = tuple(p - q for p, q in zip(_cd_mul(_unit(i), _unit(j)),
+                                               _cd_mul(_unit(j), _unit(i))))
+            assert comm[0] == 0
+            want.append(((i - 1, j - 1), comm[1:]))
+    got = [(pair, v.coords) for pair, v in builtin("m7").pairs()]
+    assert got == want
+    assert all(type(c) is int for _, coords in got for c in coords)
 
 
 def test_m7_structure_constants_shape(m7):
