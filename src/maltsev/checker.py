@@ -11,23 +11,20 @@ worker count.
 :func:`run_check` takes a parsed identity and scans with its compiled
 program, which hands back stream positions only: the first violating index
 and the violation counts.  The program visits only the canonical
-substitutions of its antisymmetric blocks (see :mod:`.dsl`), and from
-``_PARALLEL_MIN`` scan units on, of the blocks and the algebra's
-basis-permutation automorphisms too (see :func:`_orbits`).  Pool chunks are
-still ranges of the whole stream, cut at equal counts of orbit-table
-entries where there is a table, and the chunk holding the first violation
-finds it.  Every report decodes the first index into its substitution and
-evaluates both sides there with :func:`dsl.eval_ast`, which runs the
-identity's one-substitution program: a column program's operator sides are
-never built for a report.
+substitutions of its antisymmetric blocks (see :mod:`.dsl`), and of the
+algebra's basis-permutation automorphisms where :func:`_group` takes them.
+Every report decodes the first index into its substitution and evaluates
+both sides there with :func:`dsl.eval_ast`, which runs the identity's
+one-substitution program: a column program's operator sides are never
+built for a report.
 
-A scan pools only when its program has ``_PARALLEL_MIN`` scan units or
-more.  A unit is one canonical substitution of a vector program or one
-canonical prefix of a column program; the blocks' units are counted as the
-stream length divided by the orbit, and by the dimension for a column
-program, and those of an orbit table one by one.
-The decision depends on the program alone, so labels that share a scan,
-such as an operator identity and its vector twin, are judged alike.
+With more than one worker, the parent walks the canonical prefixes once
+(:meth:`dsl.Program._walk`) and counts the *scan units*: canonical
+substitutions of a vector program, prefixes of a column program.  A scan
+pools only from ``_PARALLEL_MIN`` units on, in ranges of the whole stream
+that start at the walk's entries and hold equal counts of them; the range
+holding the first violation finds it.  Labels that share a scan, such as
+an operator identity and its vector twin, are judged alike.
 
 One :class:`WorkerPool` serves every check of a command on its algebra: its
 processes start at the first check that pools and receive the algebra once;
@@ -167,14 +164,14 @@ def _init_worker(A: Algebra) -> None:
 
 def _scan_chunk(start: int, stop: int, exhaustive: bool, text: str):
     """Pool entry point: :meth:`dsl.Program.scan` of the identity ``text``,
-    which each worker parses once."""
+    which each worker parses once, and whose group it seeks once."""
     A, plans = _worker
     if text not in plans:
         plan = dsl.parse_identity(text).plan
         options = [_options(A.dim, m) for m in plan.multiplicities]
-        plans[text] = plan, options, _orbits(A, plan, options)
-    plan, options, orbits = plans[text]
-    return plan.scan(A, options, start, stop, exhaustive, orbits)
+        plans[text] = plan, options, _group(A, plan, options)
+    plan, options, group = plans[text]
+    return plan.scan(A, options, start, stop, exhaustive, group)
 
 
 class WorkerPool:
@@ -213,42 +210,30 @@ class WorkerPool:
         self.close()
 
 
-def _chunk_bounds(total: int, workers: int, unit: int = 1,
-                  bases: Sequence[int] | None = None) -> list[tuple[int, int]]:
+def _chunk_bounds(total: int, workers: int, bases: Sequence[int]) -> list[tuple[int, int]]:
     """The [start, stop) ranges a pool of ``workers`` scans, in stream order.
 
-    Every range starts at a multiple of ``unit``: a column program's prefix
-    of ``dim`` columns is never split, so no chunk counts it twice.  Given
-    ``bases``, the stream indices of an orbit table's entries, the ranges
-    start at entries and hold as equal counts of them as they can, since
-    the canonical prefixes crowd the start of the stream.
+    ``bases`` are the stream indices of the walk's entries, in order.  The
+    ranges start at entries and hold as equal counts of them as they can,
+    since the canonical prefixes crowd the start of the stream.
     """
-    if bases:
-        n = min(len(bases), workers * _CHUNKS_PER_WORKER)
-        starts = [0, *(bases[e * len(bases) // n] for e in range(1, n))]
-        return list(zip(starts, [*starts[1:], total]))
-    chunk = max(64, -(-total // (workers * _CHUNKS_PER_WORKER)))
-    chunk = -(-chunk // unit) * unit
-    return [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
+    n = min(len(bases), workers * _CHUNKS_PER_WORKER)
+    starts = [0, *(bases[e * len(bases) // n] for e in range(1, n))]
+    return list(zip(starts, [*starts[1:], total]))
 
 
-def _orbits(A: Algebra, plan: dsl.Program, options: list) -> tuple | None:
-    """The orbit table (:meth:`dsl.Program.orbits`) of ``plan``'s stream under
-    its blocks and ``A``'s basis-permutation automorphisms, kept in
-    ``A._orbits``; None where the last slot is in a block, or where the group
-    is trivial or has more elements than the blocks leave scan units (the
-    table would then hold more images than the scan has units).  The search
-    stops after as many trials as those units have stream positions."""
-    if not plan.nvars or plan.prev[-1] >= 0:
-        return None
+def _group(A: Algebra, plan: dsl.Program, options: list) -> Sequence[tuple[int, ...]]:
+    """The group a scan of ``plan``'s stream walks under: ``A``'s
+    basis-permutation automorphisms, or the identity alone where the last
+    slot is in a block, where the blocks leave fewer than ``_PARALLEL_MIN``
+    scan units, or where the group has more elements than those units.  The
+    search stops after as many trials as those units have stream positions."""
     units = math.prod(map(len, options)) // (plan.orbit * (A.dim if plan.column else 1))
-    group = A.automorphisms(units * A.dim)
-    if group is None or not 1 < len(group) <= units:
-        return None
-    key = plan.multiplicities, plan.blocks
-    if key not in A._orbits:
-        A._orbits[key] = plan.orbits(options, group)
-    return A._orbits[key]
+    if units >= _PARALLEL_MIN and plan.prev[-1] < 0:
+        group = A.automorphisms(units * A.dim)
+        if group is not None and len(group) <= units:
+            return group
+    return (tuple(range(A.dim)),)
 
 
 def _scan(A: Algebra, ast: dsl.IdentityAst, exhaustive: bool,
@@ -258,19 +243,17 @@ def _scan(A: Algebra, ast: dsl.IdentityAst, exhaustive: bool,
     plan = ast.plan
     options = [_options(A.dim, m) for m in plan.multiplicities]
     total = math.prod(map(len, options))
-    width = A.dim if plan.column else 1  # stream positions per prefix
-    # scan units: canonical substitutions, or canonical prefixes of dim
-    # columns each; the group is sought, before any pool starts (forked
-    # workers inherit it), from _PARALLEL_MIN of the blocks' units on, and
-    # the pool serves programs of _PARALLEL_MIN units or more
-    units = total // (plan.orbit * width)
-    orbits = _orbits(A, plan, options) if units >= _PARALLEL_MIN else None
-    if orbits is not None:
-        units = sum(1 if plan.column else len(options[-1]) if cols is None else len(cols)
-                    for _, _, cols in orbits[1])
-    if pool is None or pool.workers == 1 or units < _PARALLEL_MIN:
-        return (*plan.scan(A, options, 0, total, exhaustive, orbits), total)
-    bounds = _chunk_bounds(total, pool.workers, width, orbits and orbits[0])
+    # the group is sought before any pool starts (forked workers inherit it)
+    group = _group(A, plan, options)
+    bases, units = [], 0
+    if pool is not None and pool.workers > 1 and plan.nvars:
+        width = len(options[-1])
+        for _, base, lo, _, cols in plan._walk(options, group, [0] * plan.nvars, 0, total):
+            bases.append(base)
+            units += 1 if plan.column else width - lo if cols is None else len(cols)
+    if units < _PARALLEL_MIN:
+        return (*plan.scan(A, options, 0, total, exhaustive, group), total)
+    bounds = _chunk_bounds(total, pool.workers, bases)
     executor = pool.executor(len(bounds))
     text = dsl.format_identity(ast)
     first, nviol, nprefixes = None, 0, 0

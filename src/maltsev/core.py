@@ -366,14 +366,13 @@ class Algebra:
 
     ``_ternary`` caches the ternary table (see the module docstring); it is
     filled lazily and ignored by equality, hashing and pickling.  So are
-    ``_automorphisms`` (see :meth:`automorphisms`), ``_scans``, where the
-    checker keeps the result of each scan it ran on this algebra, by
-    identity key and mode, and ``_orbits``, where it keeps the orbit tables
-    of those scans.
+    ``_automorphisms`` (see :meth:`automorphisms`) and ``_scans``, where
+    the checker keeps the result of each scan it ran on this algebra, by
+    identity key and mode.
     """
 
     __slots__ = ("name", "basis", "_pairs", "_rows", "_ternary", "_automorphisms", "_scans",
-                 "_orbits", "_hash")
+                 "_hash")
 
     def __init__(self, name: str, basis: Iterable[str],
                  brackets: Mapping[tuple[int, int], Vector | Iterable[Scalar]]):
@@ -402,7 +401,6 @@ class Algebra:
         self._ternary = None
         self._automorphisms = (0, None)  # (trials, group or None): see automorphisms
         self._scans = {}
-        self._orbits = {}
         self._hash = hash((name, basis, tuple(sorted(pairs.items()))))
 
     @property

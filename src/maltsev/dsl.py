@@ -113,13 +113,14 @@ indices are, so a scan skips such prefixes before any step runs, and such
 last-slot indices.  No first violation or count moves.
 
 A permutation of the basis that is an automorphism of the algebra maps
-options to options and violations to violations.  With the orbit table of a
-group of them (:meth:`Program.orbits`), a scan visits only the prefixes, and
-of each only the last-slot options, that come first in their orbit.
+options to options and violations to violations.  Given a group of them, a
+scan visits only the prefixes, and of each only the last-slot options, that
+come first in their orbit; one depth-first walk (:meth:`Program._walk`)
+finds them, as it finds the canonical prefixes of the blocks alone where
+the group is the identity.
 """
 from __future__ import annotations
 
-import bisect
 import math
 import operator
 import re
@@ -604,6 +605,16 @@ class Program:
                 self.after[k] = len(block) - 1 - t
         self.orbit = math.prod(math.factorial(len(b)) for b in self.blocks)
         self.diagonals = tuple(diagonals)
+        # ties[k]: the slots before k that a diagonal pair ties to slot k
+        self.ties = tuple(tuple(i for i, j in self.diagonals if j == k) for k in range(nvars))
+        # spans[k]: at a closed position k (no block straddles it), the slots since
+        # the one before and the blocks among them, by place in that span
+        self.spans, begin = [None] * nvars, 0
+        for k in range(1, nvars):
+            if all(b[-1] < k or b[0] >= k for b in self.blocks):
+                self.spans[k] = (range(begin, k), [[j - begin for j in b] for b in self.blocks
+                                                   if begin <= b[0] < k])
+                begin = k
         # memos: (register, step, the slots it reads) of each memo step;
         # memo_from: the last slot below a memo step's level that it does not read
         self.memos = tuple((out, step, memos[out]) for out, step in steps if out in memos)
@@ -623,21 +634,22 @@ class Program:
         return left, right
 
     def scan(self, A: Algebra, options: Sequence[Sequence[Vector]], start: int, stop: int,
-             exhaustive: bool, orbits: tuple | None = None) -> tuple[int | None, int, int]:
+             exhaustive: bool, group: Sequence | None = None) -> tuple[int | None, int, int]:
         """Scan the canonical substitutions in [start, stop) of the product of ``options``.
 
         ``options`` holds one option list per slot, the last slot fastest,
         and ``stop`` is at most the product's length.  Returns the first
         canonical violating stream index (or None), the number of canonical
         violations and of *prefixes* (values of every slot but the last)
-        holding one, each counted with its orbit: stream positions only,
-        which the caller decodes into a substitution.  Without ``exhaustive``
-        the scan ends at the first violation.  Scans of consecutive ranges
-        find the stream's first violation, and their counts add up to the
-        stream's (see the module docstring).  A column program compares
-        column i of its operator sides where a vector program compares the
-        sides at i, and ends at its first bad column unless ``exhaustive``.
-        The orbits are the blocks', or those of :meth:`orbits`; a prefix or
+        whose first violation is in the range, each counted with its orbit:
+        stream positions only, which the caller decodes into a substitution.
+        Without ``exhaustive`` the scan ends at the first violation.  Scans
+        of consecutive ranges, cut anywhere, find the stream's first
+        violation, and their counts add up to the stream's (see the module
+        docstring).  A column program compares column i of its operator
+        sides where a vector program compares the sides at i, and ends at
+        its first bad column unless ``exhaustive``.  The prefixes are those
+        of :meth:`_walk` under ``group``, by default the identity alone; a
         last-slot index that a diagonal pair ties to an equal one is skipped.
         """
         if start >= stop:
@@ -650,19 +662,12 @@ class Program:
         last = n - 1
         idx = [0] * n  # the current option index of each slot
         fastest = options[last]
-        prefixes = (self._prefixes(options, idx, start, stop) if orbits is None
-                    else _orbit_prefixes(orbits, idx, start, stop, len(fastest)))
-        ties = [(i, j) for i, j in self.diagonals if j < last]
-        tied = [i for i, j in self.diagonals if j == last]
+        tied = self.ties[last]
         r = [None] * self.size
         first, nviol, nprefixes = None, 0, 0
         memo_from = self.memo_from
-        since = n  # the slowest slot changed since the last prefix that ran
-        for k, base, lo, weight, cols in prefixes:
-            if ties and any(idx[i] == idx[j] for i, j in ties):
-                since = min(since, k)  # each substitution of the prefix holds
-                continue
-            k, since = min(since, k), n
+        for k, base, lo, weight, cols in self._walk(options, group or (tuple(range(A.dim)),),
+                                                    idx, start, stop):
             for j in range(max(k, 0), last):
                 r[j] = options[j][idx[j]]
             if 0 <= k <= memo_from:  # a memo step's value may now repeat
@@ -695,140 +700,116 @@ class Program:
                 if not exhaustive:
                     return first, 1, 1
                 nviol += weight * (len(bad) if cols is None else sum(map(cols.get, bad)))
-                nprefixes += weight
+                # a prefix counts in the range that holds its first bad column
+                if base >= start or self.scan(A, options, base, start, False, group)[0] is None:
+                    nprefixes += weight
         return first, nviol, nprefixes
 
-    def _prefixes(self, options: Sequence[Sequence[Vector]], idx: list[int], start: int,
-                  stop: int) -> Iterator[tuple]:
-        """The prefixes of canonical substitutions in [start, stop), in stream
-        order, set in ``idx`` in turn: (the slowest slot changed, or -1; the
-        stream index; the first last-slot index; the orbit; None: all columns)."""
-        n, prev = self.nvars, self.prev
-        top = [len(o) - 1 - a for o, a in zip(options, self.after)]  # highest canonical index
-        if min(top) < 0:  # a block has more slots than options: nothing is canonical
-            return
-        strides = [1] * n  # stream index step of each slot
-        for k in reversed(range(n - 1)):
-            strides[k] = strides[k + 1] * len(options[k + 1])
-        rem = start
-        for k in reversed(range(n)):
-            rem, idx[k] = divmod(rem, len(options[k]))
-        # move to the first canonical substitution at or after start
-        for k in range(n):
-            if idx[k] > top[k]:  # no canonical one agrees with idx on slots 0..k
-                if _advance(idx, k - 1, prev, top) < 0:
-                    return
-                break
-            if prev[k] >= 0 and idx[k] <= idx[prev[k]]:
-                idx[k] = idx[prev[k]]  # one below the lowest canonical index
-                _advance(idx, k, prev, top)
-                break
-        last, k = n - 1, -1
-        while True:
-            base = sum(map(operator.mul, idx[:last], strides))  # stream index of the prefix
-            if base + idx[last] >= stop:
-                return
-            yield k, base, idx[last], self.orbit, None
-            k = _advance(idx, last - 1, prev, top)
-            if k < 0:
-                return
+    def _walk(self, options: Sequence[Sequence[Vector]], group: Sequence[tuple[int, ...]],
+              idx: list[int], start: int, stop: int) -> Iterator[tuple]:
+        """The prefixes of the canonical substitutions in [start, stop), in
+        stream order, set in ``idx`` in turn: (the slowest slot changed, or
+        -1 at the first; the stream index; the first last-slot index; the
+        orbit; None, every column from there on, or the canonical columns
+        with their orbits).
 
-    def orbits(self, options: Sequence[Sequence[Vector]],
-               group: Sequence[tuple[int, ...]]) -> tuple[list[int], list[tuple]]:
-        """The orbit table of the product of ``options`` under the blocks and
-        ``group``, a group of automorphisms that permute the basis; the last
-        slot is in no block.  For each canonical prefix that no diagonal pair
-        ties, in stream order: its stream index, and its option indices, its
-        orbit and None or, where its stabilizer moves columns, the canonical
-        columns with their orbits.
-
-        A prefix is canonical when it comes first in stream order within its
-        orbit.  The table is built depth first, one slot at a time, over the
-        option indices that increase along each block.  At a *closed*
-        position, one that no block straddles, a prefix is kept only if no
-        element of the stabilizer of its part before the last closed
-        position maps it below itself, once each block's images are sorted;
-        the elements that fix it go on.  Their images agree with the prefix
-        before that position, so a prefix that passes every such test comes
-        first in its orbit, and a canonical one passes each.  The orbit then
-        holds ``len(group) / len(stabilizer)`` prefixes, and the columns'
-        orbits are those of the whole prefix's stabilizer.
+        ``group`` holds automorphisms that permute the basis, the identity
+        first, and the identity alone where the last slot is in a block.  A
+        prefix is canonical when its indices increase along each block, no
+        diagonal pair ties two of them, and it comes first in stream order
+        in its orbit under the blocks and ``group``.  The walk goes depth
+        first over such indices, one slot at a time, and enters no subtree
+        wholly outside [start, stop).  At a *closed* position (``spans``) a
+        prefix is kept only if no element of the stabilizer of its part
+        before the last closed position maps it below itself, once each
+        block's images are sorted; the elements that fix it go on.  A prefix
+        passes every test iff it comes first in its orbit, which holds
+        ``len(group) / len(stabilizer)`` prefixes, and the columns' orbits
+        are those of the whole prefix's stabilizer.  A stabilizer of the
+        identity alone needs no test, and each image is computed when a test
+        reads it.
         """
-        n, last, prev = self.nvars, self.nvars - 1, self.prev
-        # per multiplicity (one option list each) and element, the image of each option index
-        tables: dict[int, Sequence] = {}
-        for m, o in zip(self.multiplicities, options):
-            if m == 1:  # the options e_0 ... e_{d-1}
-                tables[m] = group
-            elif m not in tables:
-                sets = [[i for i, c in enumerate(v.coords) if c] for v in o]
-                where = {frozenset(s): i for i, s in enumerate(sets)}
-                tables[m] = [[where[frozenset([p[i] for i in s])] for s in sets] for p in group]
-        moves = [tables[m] for m in self.multiplicities]
+        n, prev, ties, spans = self.nvars, self.prev, self.ties, self.spans
+        last = n - 1
         top = [len(o) - 1 - a for o, a in zip(options, self.after)]  # highest canonical index
-        strides = [math.prod(map(len, options[k + 1:])) for k in range(last)]
-        ties = [[i for i, j in self.diagonals if j == k] for k in range(last)]
-        # checks[k]: where k is a closed position, the slots since the one
-        # before it, and the blocks among them, by place in that span
-        checks, start = [None] * n, 0
-        for k in range(1, n):
-            if all(b[-1] < k or b[0] >= k for b in self.blocks):
-                checks[k] = (range(start, k), [[j - start for j in b] for b in self.blocks
-                                               if start <= b[0] < k])
-                start = k
-        idx, bases, entries = [0] * n, [], []
-
-        def walk(k: int, stabilizer: Sequence[int]) -> None:
-            # the slots before k are set, and the elements of ``stabilizer``
-            # fix them up to the closed position before k
-            if checks[k] is not None:
-                span, inner = checks[k]
-                p = idx[span.start:k]
-                fixing = []
-                for g in stabilizer:
-                    q = [moves[j][g][idx[j]] for j in span]
-                    for block in inner:
-                        for t, i in zip(block, sorted([q[t] for t in block])):
-                            q[t] = i
-                    if q < p:
-                        return
-                    if q == p:
-                        fixing.append(g)
-                stabilizer = fixing
-            if k == last:
+        # moves[k](p, i): the option index of slot k that p maps option i to
+        moves = [operator.getitem if m == 1 else _images(o)
+                 for m, o in zip(self.multiplicities, options)] if len(group) > 1 else None
+        strides, digits, rem = [1] * n, [0] * n, start  # digits: start's option indices
+        for k in range(last, -1, -1):
+            if k < last:
+                strides[k] = strides[k + 1] * len(options[k + 1])
+            rem, digits[k] = divmod(rem, len(options[k]))
+        # per slot k: the stream index of idx[:k], the stabilizer, whether
+        # idx[:k] is start's, and the indices a diagonal pair ties it to
+        bases, stabs, at_start, avoid = [0] * n, [group] * n, [True] * n, [()] * n
+        changed, k, i, orbit = -1, 0, digits[0], self.orbit
+        while True:
+            if k == last:  # idx[:last] is a canonical prefix, and i its first column
+                base, stab = bases[k], stabs[k]
+                if base + i >= stop:
+                    return
                 cols = None
-                if len(stabilizer) > 1:
-                    move = moves[last]
-                    orbits = [{move[g][i] for g in stabilizer} for i in range(len(options[last]))]
-                    cols = {i: len(o) for i, o in enumerate(orbits) if i == min(o)}
-                bases.append(sum(map(operator.mul, idx, strides)))
-                entries.append((tuple(idx[:last]), self.orbit * len(group) // len(stabilizer),
-                                cols))
+                if len(stab) > 1:
+                    orbits = [{moves[k](g, c) for g in stab} for c in range(len(options[k]))]
+                    cols = {c: len(o) for c, o in enumerate(orbits) if c == min(o)}
+                yield changed, base, i, orbit * len(group) // len(stab), cols
+                changed = last
+            elif i <= top[k]:
+                if i in avoid[k]:
+                    i += 1
+                    continue
+                base = bases[k] + i * strides[k]
+                if base >= stop:  # so does every later subtree
+                    return
+                idx[k] = i
+                if k < changed:
+                    changed = k
+                stab, span = stabs[k], spans[k + 1]
+                if len(stab) > 1 and span is not None:
+                    stab = _fixing(stab, span, idx, moves)
+                    if stab is None:
+                        i += 1
+                        continue
+                same = at_start[k] and i == digits[k]
+                k += 1
+                bases[k], stabs[k], at_start[k] = base, stab, same
+                if ties[k]:
+                    avoid[k] = [idx[j] for j in ties[k]]
+                i = idx[prev[k]] + 1 if prev[k] >= 0 else 0
+                if same and digits[k] > i:
+                    i = digits[k]
+                continue
+            if not k:
                 return
-            tied = {idx[i] for i in ties[k]}  # a value that makes every substitution hold
-            for i in range(idx[prev[k]] + 1 if prev[k] >= 0 else 0, top[k] + 1):
-                if i not in tied:
-                    idx[k] = i
-                    walk(k + 1, stabilizer)
-
-        walk(0, range(len(group)))
-        return bases, entries
+            k -= 1
+            i = idx[k] + 1
 
 
-def _orbit_prefixes(orbits: tuple, idx: list[int], start: int, stop: int,
-                    width: int) -> Iterator[tuple]:
-    """:meth:`Program._prefixes` of an orbit table's canonical prefixes."""
-    bases, entries = orbits
-    k = None
-    for e in range(bisect.bisect_left(bases, start - start % width), len(bases)):
-        base = bases[e]
-        if base >= stop:
-            return
-        p, weight, cols = entries[e]
-        # the first slot that differs from the last prefix
-        k = -1 if k is None else next(j for j, i in enumerate(p) if idx[j] != i)
-        idx[:len(p)] = p
-        yield k, base, max(start - base, 0), weight, cols
+def _fixing(stab: Sequence[tuple[int, ...]], span: tuple, idx: list[int],
+            moves: list[Callable]) -> list[tuple[int, ...]] | None:
+    """The elements of ``stab`` that fix the indices of ``span``'s slots, each
+    block's images sorted, or None where one maps them lower (see ``_walk``)."""
+    slots, blocks = span
+    p, out = idx[slots.start:slots.stop], []
+    for g in stab:
+        q = [moves[j](g, idx[j]) for j in slots]
+        for block in blocks:
+            for t, i in zip(block, sorted([q[t] for t in block])):
+                q[t] = i
+        if q < p:
+            return None
+        if q == p:
+            out.append(g)
+    return out
+
+
+def _images(options: Sequence[Vector]) -> Callable:
+    """``moves`` of :meth:`Program._walk` for options that are sums of basis
+    vectors: the image of option i under a basis permutation p."""
+    sets = [[a for a, c in enumerate(v.coords) if c] for v in options]
+    where = {frozenset(s): i for i, s in enumerate(sets)}
+    return lambda p, i: where[frozenset([p[a] for a in sets[i]])]
 
 
 def _memoized(step: Callable, slots: tuple[int, ...], idx: list[int], table: dict) -> Callable:
@@ -843,22 +824,6 @@ def _memoized(step: Callable, slots: tuple[int, ...], idx: list[int], table: dic
             value = table[k] = step(A, r)
         return value
     return run
-
-
-def _advance(idx: list[int], k: int, prev: Sequence[int], top: Sequence[int]) -> int:
-    """Advance ``idx`` past every substitution that agrees with it on slots 0..k.
-
-    The slowest slot at or before k below its highest canonical index steps
-    up, and every faster slot takes its lowest one.  Returns that slot, or
-    -1 when there is none and the stream is done.
-    """
-    while k >= 0 and idx[k] >= top[k]:
-        k -= 1
-    if k >= 0:
-        idx[k] += 1
-        for j in range(k + 1, len(idx)):
-            idx[j] = idx[prev[j]] + 1 if prev[j] >= 0 else 0
-    return k
 
 
 def _top_coefficient(term: Expr) -> tuple[Scalar, Expr]:

@@ -13,13 +13,13 @@ and :func:`check_ast` scans with it one substitution at a time: no
 registers, no stages and no partial maps.  :func:`oriented` is the reading
 of a vector identity that the column rule tests.  :func:`automorphisms`,
 :func:`orbit` and :func:`canonical_prefixes` find by brute force what the
-automorphism search and the orbit tables compute, and :func:`stream_orbits`
-builds an orbit table by walking every prefix of the stream.
+automorphism search and the walk of the canonical prefixes compute, and
+:func:`stream_walk` finds the walk's entries from every substitution of the
+stream.
 :func:`diagonal_pairs` finds a program's diagonal pairs by renaming
 variables in the text.  :func:`_cd_mul` multiplies whole octonions, which
 the catalog multiplies unit by unit.
 """
-import math
 import re
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -375,9 +375,12 @@ def diagonal_pairs(ast):
     return out
 
 
-def stream_orbits(plan, options, group):
-    """:meth:`maltsev.dsl.Program.orbits` by walking every block-canonical
-    prefix of the stream: each one not yet met is the first of its orbit,
+def stream_walk(plan, options, group):
+    """The entries of :meth:`maltsev.dsl.Program._walk` over the whole stream
+    of ``options``, each with its prefix, found from the substitutions whose
+    option indices increase along each block (every one of the product,
+    filtered).  Their prefixes come in stream order, each with its lowest
+    such last-slot index; each one not yet met is the first of its orbit,
     whose images under every element of ``group`` are then met; the tied
     ones (a diagonal pair with equal option indices) are left out."""
     moves = []  # per slot and element, the image of each option index
@@ -385,19 +388,23 @@ def stream_orbits(plan, options, group):
         sets = [tuple(i for i, c in enumerate(v.coords) if c) for v in o]
         where = {s: i for i, s in enumerate(sets)}
         moves.append([[where[tuple(sorted(p[i] for i in s))] for s in sets] for p in group])
+    last = plan.nvars - 1
+    blocks = [[k for k in block if k < last] for block in plan.blocks]
 
     def image(g, p):
         q = [move[g][i] for move, i in zip(moves, p)]
-        for block in plan.blocks:
+        for block in blocks:
             for k, i in zip(block, sorted(q[k] for k in block)):
                 q[k] = i
         return tuple(q)
 
-    last = plan.nvars - 1
+    prefixes = {}  # prefix -> its lowest last-slot index, in stream order
+    for idx in product(*(range(len(o)) for o in options)):
+        if all(idx[a] < idx[b] for block in plan.blocks for a, b in zip(block, block[1:])):
+            prefixes.setdefault(idx[:last], idx[last])
     ties = [(i, j) for i, j in plan.diagonals if j < last]
-    bases, entries, seen, idx = [], [], set(), [0] * plan.nvars
-    for _, base, _, _, _ in plan._prefixes(options, idx, 0, math.prod(map(len, options))):
-        p = tuple(idx[:last])
+    entries, seen, before = [], set(), None
+    for p, lo in prefixes.items():
         if p in seen:
             continue
         images = [image(g, p) for g in range(len(group))]
@@ -409,9 +416,14 @@ def stream_orbits(plan, options, group):
         if len(stabilizer) > 1:
             orbits = [{move[i] for move in stabilizer} for i in range(len(options[last]))]
             cols = {i: len(o) for i, o in enumerate(orbits) if i == min(o)}
-        bases.append(base)
-        entries.append((p, plan.orbit * len(set(images)), cols))
-    return bases, entries
+        # the first slot that differs from the entry before
+        k = -1 if before is None else next(j for j, (a, b) in enumerate(zip(p, before)) if a != b)
+        base = 0
+        for o, i in zip(options, p):
+            base = base * len(o) + i
+        entries.append((k, base * len(options[last]), lo, plan.orbit * len(set(images)), cols, p))
+        before = p
+    return entries
 
 
 # octonions by Cayley-Dickson doubling, on whole vectors: elements are

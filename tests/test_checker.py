@@ -125,7 +125,8 @@ def test_exhaustive_counts_all_violations(nc3):
 
 
 def test_scan_reads_the_stream_from_its_chunk_start(nc3):
-    # every [start, stop) range finds exactly the oracle's violations in it
+    # every [start, stop) range finds exactly the oracle's violations in it,
+    # and the prefixes whose first violation it holds
     evaluate = oracle.ORACLE["maltsev"][3]
     stream = list(product(*(substitution_options(3, m) for m in (2, 1, 1))))
     bad = []
@@ -136,11 +137,14 @@ def test_scan_reads_the_stream_from_its_chunk_start(nc3):
     assert len(bad) == 21
     ast = BUILTIN_IDENTITIES["maltsev"].ast
     options = [substitution_options(3, m) for m in ast.multiplicities]
+    heads = {}  # the first violation of each prefix: z, the last variable, has 3 options
+    for i in bad:
+        heads.setdefault(i // 3, i)
     for start in range(len(stream)):
         for stop in range(start, len(stream) + 1, 7):
             inside = [i for i in bad if start <= i < stop]
             first = inside[0] if inside else None
-            prefixes = len({i // 3 for i in inside})  # z, the last variable, has 3 options
+            prefixes = sum(start <= i < stop for i in heads.values())
             assert (ast.plan.scan(nc3, options, start, stop, True)
                     == (first, len(inside), prefixes))
             assert (ast.plan.scan(nc3, options, start, stop, False)
@@ -204,19 +208,19 @@ class _InlinePool:
 
 
 @pytest.mark.parametrize("workers,cpus,expected", [
-    (100000, 1000, 16),  # chunks bind: glts-f has 1024 subs, 16 chunks
+    (100000, 1000, 36),  # chunks bind: glts-f's walk has 36 entries, a chunk each
     (100000, 3, 3),      # the CPU count binds
     (2, 1000, 2),        # the request binds
     (4, None, 1),        # cpu_count() may be unknown
 ])
 def test_pool_size_is_capped(monkeypatch, workers, cpus, expected):
     # a dim-4 algebra whose basis permutations leave no automorphism but
-    # the identity: its chunks are stream ranges of equal length (an orbit
-    # table would cut them at its entries)
+    # the identity: the walk's entries are the C(4,2)**2 canonical prefixes
+    # of glts-f's blocks
     A = random_algebra(random.Random(RANDOM_ALGEBRA_SEED), 4)
     assert len(A.automorphisms(10 ** 6)) == 1
     monkeypatch.setattr(checker, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(checker, "_PARALLEL_MIN", 1)  # glts-f has 64 scan units
+    monkeypatch.setattr(checker, "_PARALLEL_MIN", 1)  # glts-f has 36 scan units
     monkeypatch.setattr(checker.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     report = check_builtin(fresh(A), "glts-f", workers=workers)

@@ -8,7 +8,7 @@ so the scan skips a prefix whose paired slots have equal indices, and a
 column equal to the index of a slot paired with the last one.  The tests
 tie the detection to renaming the variables in the text, and the scans with
 the skips to the unreduced oracle on every chunk range: on the catalog, the
-100 seeded random dim-3 algebras and m7 with its orbit table.
+100 seeded random dim-3 algebras and m7 with its group.
 """
 import math
 
@@ -23,8 +23,8 @@ from maltsev.identities import BUILTIN_IDENTITIES
 
 from . import oracle
 from .test_dsl import _expr_strategy
-from .test_automorphisms import _canonical_violations
-from .test_engine import CASES, DIM3, _canonical, _ranges, _stream
+from .test_automorphisms import _canonical_violations, _prefix_heads, _walked
+from .test_engine import CASES, DIM3, _canonical, _even_chunks, _ranges, _stream
 
 # builtin -> its diagonal pairs, as variable names; only keys that do not
 # vanish are scanned
@@ -110,34 +110,36 @@ def test_diagonal_pairs_of_random_operator_texts_match_the_renamed_texts(lhs, rh
 DIAGONAL_CASES = [c for c in CASES if c[1].plan.diagonals and not c[1].vanishes]
 
 
-def _check_ranges(A, ast, orbits=None):
+def _check_ranges(A, ast, group=None):
     """The scan of every chunk range against the oracle's violations, in both
     modes, and the unreduced totals over every partition into chunks."""
     plan = ast.plan
     bad, options = _stream(A, ast)
     width = len(options[-1])
-    if orbits is None:  # the canonical violations of the blocks
+    if group is None:  # the canonical violations of the blocks
         weights = {i: (plan.orbit, plan.orbit) for i in bad if _canonical(plan, options, i)}
     else:  # of the blocks and the group
         weights = _canonical_violations(A, ast)[0]
+    heads = _prefix_heads(weights, width)
     for start, stop in _ranges(options):
         inside = {i: w for i, w in weights.items() if start <= i < stop}
         first = min(inside, default=None)
-        prefixes = {i // width: w[1] for i, w in inside.items()}
-        assert plan.scan(A, options, start, stop, True, orbits) == (
-            first, sum(w[0] for w in inside.values()), sum(prefixes.values())), \
-            (A.name, start, stop)
-        assert plan.scan(A, options, start, stop, False, orbits) == (
+        prefixes = sum(weights[i][1] for i in heads if start <= i < stop)
+        assert plan.scan(A, options, start, stop, True, group) == (
+            first, sum(w[0] for w in inside.values()), prefixes), (A.name, start, stop)
+        assert plan.scan(A, options, start, stop, False, group) == (
             first, min(1, len(inside)), min(1, len(inside))), (A.name, start, stop)
         if first is not None:
             assert checker._substitution(A, plan, first) == bad[first]
     total = math.prod(map(len, options))
+    bases = [entry[1] for entry in _walked(plan, options, group or (tuple(range(A.dim)),))]
     for workers in (1, 2, 3):
-        bounds = checker._chunk_bounds(total, workers, width, orbits and orbits[0])
-        scans = [plan.scan(A, options, s, e, True, orbits) for s, e in bounds]
-        assert sum(s[1] for s in scans) == len(bad), (A.name, workers)
-        assert sum(s[2] for s in scans) == len({i // width for i in bad}), (A.name, workers)
-        assert next((s[0] for s in scans if s[0] is not None), None) == min(bad, default=None)
+        # the pool's chunks, and chunks of equal stream length
+        for bounds in (checker._chunk_bounds(total, workers, bases), _even_chunks(total, workers)):
+            scans = [plan.scan(A, options, s, e, True, group) for s, e in bounds]
+            assert sum(s[1] for s in scans) == len(bad), (A.name, workers)
+            assert sum(s[2] for s in scans) == len({i // width for i in bad}), (A.name, workers)
+            assert next((s[0] for s in scans if s[0] is not None), None) == min(bad, default=None)
 
 
 @pytest.mark.parametrize("case", DIAGONAL_CASES, ids=[c[2] for c in DIAGONAL_CASES])
@@ -155,6 +157,4 @@ def test_scans_with_skips_match_the_oracle_on_dim3_algebras(case):
 @pytest.mark.parametrize("case", DIAGONAL_CASES, ids=[c[2] for c in DIAGONAL_CASES])
 def test_scans_with_skips_match_the_oracle_on_m7_with_its_orbit_table(case):
     m7, plan = builtin("m7"), case[1].plan
-    options = [checker._options(7, m) for m in plan.multiplicities]
-    orbits = plan.orbits(options, m7.automorphisms(10 ** 6)) if plan.prev[-1] < 0 else None
-    _check_ranges(m7, case[1], orbits)
+    _check_ranges(m7, case[1], m7.automorphisms(10 ** 6) if plan.prev[-1] < 0 else None)

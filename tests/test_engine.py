@@ -160,6 +160,14 @@ def _index_of(options, idx):
     return index
 
 
+def _even_chunks(total, workers, unit=1):
+    """Chunks of equal stream length, at least 64, that start at multiples of
+    ``unit``: ranges cut inside prefixes, where the pool cuts at entries."""
+    chunk = max(64, -(-total // (workers * checker._CHUNKS_PER_WORKER)))
+    chunk = -(-chunk // unit) * unit
+    return [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
+
+
 def _ranges(options):
     """Every chunk range of workers 2-4, the same ranges started mid-prefix,
     some ranges that end mid-prefix, and ranges that start off the
@@ -169,7 +177,7 @@ def _ranges(options):
     total, fastest = math.prod(map(len, options)), len(options[-1])
     out = set()
     for workers in (2, 3, 4):
-        for start, stop in checker._chunk_bounds(total, workers):
+        for start, stop in _even_chunks(total, workers):
             out.add((start, stop))
             for shift in (1, fastest // 2, fastest + 1):
                 if start + shift < stop:
@@ -211,17 +219,22 @@ CHUNK_ALGEBRAS = [A for A in SMALL if A.name in ("so3", "nc3", "rand3-0", "rand4
 def _chunk_scans(ast):
     """For every chunk range on four small algebras: the algebra, the range,
     the oracle's canonical violating substitutions in it ({index: args}), the
-    length of the last slot's option list and the scan's results in
-    exhaustive and first-violation mode."""
+    number of prefixes whose first canonical violation is in it and the
+    scan's results in exhaustive and first-violation mode."""
     out = []
     plan = ast.plan
     for A in CHUNK_ALGEBRAS:
         bad, options = _stream(A, ast)
         width = len(options[-1]) if options else 1
+        heads = {}
+        for i in sorted(bad):
+            if _canonical(plan, options, i):
+                heads.setdefault(i // width, i)
         for start, stop in _ranges(options) if options else [(0, 1)]:
             inside = {i: args for i, args in bad.items()
                       if start <= i < stop and _canonical(plan, options, i)}
-            out.append((A, start, stop, inside, width,
+            out.append((A, start, stop, inside,
+                        sum(start <= i < stop for i in heads.values()),
                         plan.scan(A, options, start, stop, True),
                         plan.scan(A, options, start, stop, False)))
     return out
@@ -230,10 +243,9 @@ def _chunk_scans(ast):
 @pytest.mark.parametrize("case", CASES, ids=[c[2] for c in CASES])
 def test_scan_matches_the_oracle_on_every_chunk_range(case):
     orbit = case[1].plan.orbit
-    for _, start, stop, inside, width, exhaustive, short in _chunk_scans(case[1]):
+    for _, start, stop, inside, prefixes, exhaustive, short in _chunk_scans(case[1]):
         first = min(inside, default=None)
-        prefixes = {i // width for i in inside}
-        assert exhaustive == (first, orbit * len(inside), orbit * len(prefixes)), (start, stop)
+        assert exhaustive == (first, orbit * len(inside), orbit * prefixes), (start, stop)
         assert short == (first, min(1, len(inside)), min(1, len(inside))), (start, stop)
 
 
@@ -241,7 +253,7 @@ def test_scan_matches_the_oracle_on_every_chunk_range(case):
 def test_scan_returns_the_oracle_substitution_at_first(case):
     # the report decodes the scan's first index into the oracle's substitution
     plan = case[1].plan
-    for A, start, stop, inside, width, exhaustive, short in _chunk_scans(case[1]):
+    for A, start, stop, inside, _, exhaustive, short in _chunk_scans(case[1]):
         if inside:
             witness = inside[min(inside)]
             assert checker._substitution(A, plan, exhaustive[0]) == witness, (start, stop)
@@ -250,9 +262,9 @@ def test_scan_returns_the_oracle_substitution_at_first(case):
 
 @pytest.mark.parametrize("case", CASES, ids=[c[2] for c in CASES])
 def test_chunk_partitions_add_up_to_the_oracle_stream(case):
-    # unreduced oracle totals: every violation and, for a column program,
-    # whose chunks never split a prefix and whose "_" is in no block, every
-    # prefix holding one
+    # unreduced oracle totals over chunks cut inside prefixes: every
+    # violation and, where the last slot is in no block, every prefix
+    # holding one
     plan = case[1].plan
     for A in CHUNK_ALGEBRAS:
         bad, options = _stream(A, case[1])
@@ -260,10 +272,10 @@ def test_chunk_partitions_add_up_to_the_oracle_stream(case):
         width = len(options[-1]) if options else 1
         first = min(bad, default=None)
         for workers in (1, 2, 3, 4):
-            bounds = checker._chunk_bounds(total, workers, width if plan.column else 1)
+            bounds = _even_chunks(total, workers)
             scans = [plan.scan(A, options, s, e, True) for s, e in bounds]
             assert sum(scan[1] for scan in scans) == len(bad), (A.name, workers)
-            if plan.column:
+            if not (plan.nvars and plan.prev[-1] >= 0):
                 assert sum(scan[2] for scan in scans) == len({i // width for i in bad})
             for mode in (True, False):
                 found = next((f for s, e in bounds
@@ -414,7 +426,7 @@ def test_memo_tables_hold_at_most_the_product_of_their_slots_option_counts(monke
             plan = ident.ast.plan
             options = [checker._options(A.dim, m) for m in plan.multiplicities]
             total = math.prod(map(len, options))
-            for start, stop in [(0, total), *checker._chunk_bounds(total, 3)]:
+            for start, stop in [(0, total), *_even_chunks(total, 3)]:
                 tables.clear()
                 plan.scan(A, options, start, stop, True)
                 for slots, table in tables:

@@ -6,6 +6,7 @@ which identities share a key, and that sharing changes no report: every
 report from a shared scan equals the report of the same check on a fresh
 copy of the algebra, and the oracle's.
 """
+import math
 import random
 
 import pytest
@@ -145,18 +146,27 @@ def test_an_identity_too_large_to_expand_is_its_own_key():
 
 
 def test_chunks_of_a_column_program_start_at_prefix_boundaries():
+    # the chunks start at the walk's entries, a prefix of dim columns each
     for dim in (2, 3, 5, 7):
-        for prefixes in (1, 9, 64, 343, 2401):
-            total = prefixes * dim
+        for ident in BUILTIN_IDENTITIES.values():
+            plan = ident.ast.plan
+            if ident.ast.vanishes or dim < max(map(len, plan.blocks), default=0):
+                continue  # nothing scans, or nothing is canonical
+            assert plan.column
+            options = [checker._options(dim, m) for m in plan.multiplicities]
+            total = math.prod(map(len, options))
+            bases = [base for _, base, *_ in plan._walk(options, (tuple(range(dim)),),
+                                                        [0] * plan.nvars, 0, total)]
             for workers in (2, 3, 4, 8):
-                bounds = checker._chunk_bounds(total, workers, dim)
+                bounds = checker._chunk_bounds(total, workers, bases)
                 assert bounds[0][0] == 0 and bounds[-1][1] == total
                 assert all(stop == start for (_, stop), (start, _) in zip(bounds, bounds[1:]))
                 assert all(start % dim == 0 for start, _ in bounds)
+                assert len(bounds) == min(len(bases), workers * checker._CHUNKS_PER_WORKER)
 
 
 def test_the_pool_splits_column_programs_at_prefix_boundaries(monkeypatch):
-    # 16807 columns in 3 workers' chunks: about 701 each unless rounded to 7
+    # 16807 columns in 3 workers' chunks, which start at the walk's entries
     starts = []
 
     class RecordingPool(_InlinePool):
@@ -174,8 +184,8 @@ def test_the_pool_splits_column_programs_at_prefix_boundaries(monkeypatch):
 
 
 def test_pooled_twin_counts_where_the_dimension_does_not_divide_the_chunk(monkeypatch):
-    # dim 5: 625 columns in chunks of 64, unless rounded up to 65; a prefix
-    # split between two chunks would count twice for the operator label
+    # dim 5: 625 columns in chunks cut at the walk's entries; a prefix split
+    # between two chunks would count twice for the operator label
     monkeypatch.setattr(checker, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(checker, "_PARALLEL_MIN", 1)  # reductivity has 125
     A = random_algebra(random.Random(RANDOM_ALGEBRA_SEED), 5)
